@@ -9,6 +9,7 @@
 //! and heal (by rotating old logs).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use intelliqos_simkern::SimTime;
 
@@ -43,6 +44,9 @@ impl std::error::Error for FsError {}
 pub struct SimFile {
     /// File body as lines (no trailing newlines stored).
     pub lines: Vec<String>,
+    /// Bytes of lines appended by size only ([`SimFs::append_sized`]):
+    /// counted against the filesystem, but with no content kept.
+    pub sized_bytes: u64,
     /// Creation time.
     pub created_at: SimTime,
     /// Last modification time.
@@ -50,10 +54,16 @@ pub struct SimFile {
 }
 
 impl SimFile {
-    /// Total size in bytes (each line plus one newline).
+    /// Total size in bytes: each line plus one newline, plus the
+    /// size-only bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.lines.iter().map(|l| l.len() as u64 + 1).sum()
+        lines_size(&self.lines) + self.sized_bytes
     }
+}
+
+/// Bytes a run of lines occupies on disk (each line plus one newline).
+fn lines_size(lines: &[String]) -> u64 {
+    lines.iter().map(|l| l.len() as u64 + 1).sum()
 }
 
 /// A mounted filesystem with finite capacity.
@@ -121,29 +131,46 @@ impl SimFs {
     }
 
     /// Find the longest mount-point prefix covering `path`.
-    fn mount_for(&self, path: &str) -> Option<(&str, &Mount)> {
+    fn mount_for(&self, path: &str) -> Option<&Mount> {
         self.mounts
             .iter()
             .filter(|(mp, _)| covers(mp, path))
             .max_by_key(|(mp, _)| mp.len())
-            .map(|(mp, m)| (mp.as_str(), m))
+            .map(|(_, m)| m)
     }
 
-    fn mount_for_mut(&mut self, path: &str) -> Option<(String, &mut Mount)> {
-        let key = self
-            .mounts
-            .keys()
-            .filter(|mp| covers(mp, path))
-            .max_by_key(|mp| mp.len())
-            .cloned()?;
-        let m = self.mounts.get_mut(&key)?;
-        Some((key, m))
+    fn mount_for_mut(&mut self, path: &str) -> Option<&mut Mount> {
+        self.mounts
+            .iter_mut()
+            .filter(|(mp, _)| covers(mp, path))
+            .max_by_key(|(mp, _)| mp.len())
+            .map(|(_, m)| m)
+    }
+
+    /// The mount that may take a change of `old_size` → `new_size`
+    /// bytes on `path`, with the errors `write` reports when it may not.
+    fn mount_with_room(
+        &mut self,
+        path: &str,
+        old_size: u64,
+        new_size: u64,
+    ) -> Result<&mut Mount, FsError> {
+        let mount = self
+            .mount_for_mut(path)
+            .ok_or_else(|| FsError::NoSuchMount(path.to_string()))?;
+        if !mount.mounted {
+            return Err(FsError::NotMounted(path.to_string()));
+        }
+        if mount.used_bytes - old_size + new_size > mount.capacity_bytes {
+            return Err(FsError::NoSpace(path.to_string()));
+        }
+        Ok(mount)
     }
 
     /// Usage fraction (0–1) of the filesystem covering `path`.
     pub fn usage_fraction(&self, path: &str) -> Option<f64> {
         self.mount_for(path)
-            .map(|(_, m)| m.used_bytes as f64 / m.capacity_bytes.max(1) as f64)
+            .map(|m| m.used_bytes as f64 / m.capacity_bytes.max(1) as f64)
     }
 
     /// Create or truncate a file with the given lines.
@@ -154,28 +181,60 @@ impl SimFs {
         now: SimTime,
     ) -> Result<(), FsError> {
         let path = normalize(path.into());
-        let new_size: u64 = lines.iter().map(|l| l.len() as u64 + 1).sum();
+        let new_size = lines_size(&lines);
         let old_size = self.files.get(&path).map(|f| f.size_bytes()).unwrap_or(0);
-        let (_, mount) = self
-            .mount_for_mut(&path)
-            .ok_or_else(|| FsError::NoSuchMount(path.clone()))?;
-        if !mount.mounted {
-            return Err(FsError::NotMounted(path));
-        }
-        let projected = mount.used_bytes - old_size + new_size;
-        if projected > mount.capacity_bytes {
-            return Err(FsError::NoSpace(path));
-        }
-        mount.used_bytes = projected;
+        let mount = self.mount_with_room(&path, old_size, new_size)?;
+        mount.used_bytes = mount.used_bytes - old_size + new_size;
         let created_at = self.files.get(&path).map(|f| f.created_at).unwrap_or(now);
         self.files.insert(
             path,
             SimFile {
                 lines,
+                sized_bytes: 0,
                 created_at,
                 modified_at: now,
             },
         );
+        Ok(())
+    }
+
+    /// Append `line` to a circular file of at most `max_lines` lines,
+    /// dropping the oldest lines to make room. The result — bytes,
+    /// timestamps, `used_bytes`, and the `NoSpace`/`NotMounted` errors —
+    /// is exactly that of [`SimFs::write`] of the new window, but the
+    /// retained lines stay in place instead of being rebuilt.
+    pub fn rotate_append(
+        &mut self,
+        path: impl Into<String>,
+        line: String,
+        max_lines: usize,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        let path = normalize(path.into());
+        let (old_size, drop, dropped_size) = match self.files.get(&path) {
+            Some(f) => {
+                let drop = (f.lines.len() + 1).saturating_sub(max_lines.max(1));
+                (
+                    f.size_bytes(),
+                    drop,
+                    lines_size(&f.lines[..drop]) + f.sized_bytes,
+                )
+            }
+            None => (0, 0, 0),
+        };
+        let new_size = old_size - dropped_size + line.len() as u64 + 1;
+        let mount = self.mount_with_room(&path, old_size, new_size)?;
+        mount.used_bytes = mount.used_bytes - old_size + new_size;
+        let file = self.files.entry(path).or_insert_with(|| SimFile {
+            lines: Vec::new(),
+            sized_bytes: 0,
+            created_at: now,
+            modified_at: now,
+        });
+        file.lines.drain(..drop);
+        file.lines.push(line);
+        file.sized_bytes = 0;
+        file.modified_at = now;
         Ok(())
     }
 
@@ -186,33 +245,46 @@ impl SimFs {
         line: impl Into<String>,
         now: SimTime,
     ) -> Result<(), FsError> {
-        let path = normalize(path.into());
         let line = line.into();
-        let add = line.len() as u64 + 1;
-        let (_, mount) = self
-            .mount_for_mut(&path)
-            .ok_or_else(|| FsError::NoSuchMount(path.clone()))?;
-        if !mount.mounted {
-            return Err(FsError::NotMounted(path));
-        }
-        if mount.used_bytes + add > mount.capacity_bytes {
-            return Err(FsError::NoSpace(path));
-        }
+        let entry = self.grow(path.into(), line.len() as u64 + 1, now)?;
+        entry.lines.push(line);
+        Ok(())
+    }
+
+    /// Append one line of `len` bytes whose content nothing reads (a
+    /// runaway debug trace): space, errors and timestamps are exactly
+    /// those of [`SimFs::append`] of such a line, but only its size is
+    /// kept.
+    pub fn append_sized(
+        &mut self,
+        path: impl Into<String>,
+        len: u64,
+        now: SimTime,
+    ) -> Result<(), FsError> {
+        self.grow(path.into(), len + 1, now)?.sized_bytes += len + 1;
+        Ok(())
+    }
+
+    /// Charge `add` more bytes to the file at `path` (created if
+    /// missing) and stamp it modified; the caller adds the content.
+    fn grow(&mut self, path: String, add: u64, now: SimTime) -> Result<&mut SimFile, FsError> {
+        let path = normalize(path);
+        let mount = self.mount_with_room(&path, 0, add)?;
         mount.used_bytes += add;
         let entry = self.files.entry(path).or_insert_with(|| SimFile {
             lines: Vec::new(),
+            sized_bytes: 0,
             created_at: now,
             modified_at: now,
         });
-        entry.lines.push(line);
         entry.modified_at = now;
-        Ok(())
+        Ok(entry)
     }
 
     /// Read a file.
     pub fn read(&self, path: &str) -> Result<&SimFile, FsError> {
         let path = normalize(path.to_string());
-        if let Some((_, m)) = self.mount_for(&path) {
+        if let Some(m) = self.mount_for(&path) {
             if !m.mounted {
                 return Err(FsError::NotMounted(path));
             }
@@ -232,19 +304,22 @@ impl SimFs {
             .files
             .remove(&path)
             .ok_or_else(|| FsError::NotFound(path.clone()))?;
-        if let Some((_, m)) = self.mount_for_mut(&path) {
+        if let Some(m) = self.mount_for_mut(&path) {
             m.used_bytes = m.used_bytes.saturating_sub(file.size_bytes());
         }
         Ok(file)
     }
 
-    /// List paths under a directory prefix (recursive), sorted.
+    /// List paths under a directory prefix (recursive), sorted. A range
+    /// over the sorted keys that start with `dir`, so the cost follows
+    /// what is listed, not what else is on the host.
     pub fn list(&self, dir: &str) -> Vec<&str> {
         let dir = normalize(dir.to_string());
         self.files
-            .keys()
+            .range::<str, _>((Bound::Included(dir.as_str()), Bound::Unbounded))
+            .map(|(p, _)| p.as_str())
+            .take_while(|p| p.starts_with(dir.as_str()))
             .filter(|p| covers(&dir, p))
-            .map(|s| s.as_str())
             .collect()
     }
 
@@ -261,7 +336,7 @@ impl SimFs {
 
     /// Total bytes used on the filesystem covering `path`.
     pub fn used_bytes(&self, path: &str) -> Option<u64> {
-        self.mount_for(path).map(|(_, m)| m.used_bytes)
+        self.mount_for(path).map(|m| m.used_bytes)
     }
 }
 
@@ -425,5 +500,129 @@ mod tests {
             fs.remove("/logs/ghost"),
             Err(FsError::NotFound(_))
         ));
+    }
+
+    /// `list` before it became a range: filter every key through
+    /// `covers`.
+    fn list_by_filter<'a>(fs: &'a SimFs, dir: &str) -> Vec<&'a str> {
+        let dir = normalize(dir.to_string());
+        fs.files
+            .keys()
+            .filter(|p| covers(&dir, p))
+            .map(|s| s.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn list_equals_the_full_filter_over_random_trees() {
+        const PARTS: [&str; 9] = ["logs", "cpu", "cpu-x", "cpu.d", "cpu2", "a", "ab", "z", "~"];
+        let mut rng = intelliqos_simkern::SimRng::stream(7, "fs-list");
+        for _ in 0..200 {
+            let mut fs = SimFs::new();
+            fs.add_mount("/", u64::MAX / 2);
+            let mut dirs = vec!["/".to_string()];
+            for _ in 0..rng.uniform_u64(0, 40) {
+                let depth = rng.uniform_u64(1, 4);
+                let path: String = (0..depth)
+                    .map(|_| format!("/{}", rng.choose(&PARTS)))
+                    .collect();
+                fs.append(path.clone(), "x", t0()).unwrap();
+                // Every prefix of a path is a directory worth listing,
+                // including the file's own name and its siblings.
+                let mut cut = path.as_str();
+                while let Some(i) = cut.rfind('/').filter(|&i| i > 0) {
+                    dirs.push(cut.to_string());
+                    cut = &cut[..i];
+                }
+                dirs.push(cut.to_string());
+            }
+            dirs.extend(PARTS.iter().map(|p| format!("/logs/{p}/")));
+            for dir in &dirs {
+                assert_eq!(fs.list(dir), list_by_filter(&fs, dir), "list({dir})");
+            }
+        }
+    }
+
+    /// A file's lines and times, if it exists.
+    type FileState = Option<(Vec<String>, SimTime, SimTime)>;
+
+    /// What a reader can see of `path`: the file, and its mount's usage.
+    fn state(fs: &SimFs, path: &str) -> (FileState, Option<u64>) {
+        let file = fs
+            .files
+            .get(path)
+            .map(|f| (f.lines.clone(), f.created_at, f.modified_at));
+        (file, fs.used_bytes(path))
+    }
+
+    #[test]
+    fn rotate_append_equals_write_of_the_window() {
+        const CAP: usize = 4;
+        let path = "/logs/perf/db000/os";
+        let mut rng = intelliqos_simkern::SimRng::stream(3, "fs-rotate");
+        for _ in 0..100 {
+            let mut by_write = SimFs::new();
+            by_write.add_mount("/logs", 120);
+            let mut by_rotate = by_write.clone();
+            let mut window: Vec<String> = Vec::new();
+            // Whether the on-disk file holds the window: a failed write
+            // leaves it stale, and the next one rewrites it whole.
+            let mut synced = true;
+            for step in 0..30u64 {
+                let now = SimTime::from_secs(step);
+                match rng.uniform_u64(0, 10) {
+                    0 => {
+                        let up = rng.chance(0.5);
+                        by_write.set_mounted("/logs", up);
+                        by_rotate.set_mounted("/logs", up);
+                    }
+                    1 => {
+                        let filler = "f".repeat(rng.uniform_u64(0, 60) as usize);
+                        let a = by_write.append("/logs/filler", filler.clone(), now);
+                        assert_eq!(a, by_rotate.append("/logs/filler", filler, now));
+                    }
+                    2 => {
+                        let a = by_write.remove("/logs/filler").map(|f| f.lines);
+                        assert_eq!(a, by_rotate.remove("/logs/filler").map(|f| f.lines));
+                    }
+                    _ => {
+                        let line = format!("t={step} v={}", rng.uniform_u64(0, 100_000));
+                        window.push(line.clone());
+                        if window.len() > CAP {
+                            window.remove(0);
+                        }
+                        let w = by_write.write(path, window.clone(), now);
+                        let r = if synced {
+                            by_rotate.rotate_append(path, line, CAP, now)
+                        } else {
+                            by_rotate.write(path, window.clone(), now)
+                        };
+                        assert_eq!(w, r, "step {step}");
+                        synced = r.is_ok();
+                    }
+                }
+                assert_eq!(state(&by_write, path), state(&by_rotate, path));
+            }
+        }
+    }
+
+    #[test]
+    fn rotate_append_reports_write_errors() {
+        let mut fs = SimFs::new();
+        fs.add_mount("/logs", 10);
+        assert_eq!(
+            fs.rotate_append("/logs/w", "x".repeat(10), 3, t0()),
+            Err(FsError::NoSpace("/logs/w".into()))
+        );
+        fs.set_mounted("/logs", false);
+        assert_eq!(
+            fs.rotate_append("/logs/w", "x".into(), 3, t0()),
+            Err(FsError::NotMounted("/logs/w".into()))
+        );
+        assert_eq!(
+            fs.rotate_append("/elsewhere", "x".into(), 3, t0()),
+            Err(FsError::NoSuchMount("/elsewhere".into()))
+        );
+        assert_eq!(fs.used_bytes("/logs"), Some(0));
     }
 }

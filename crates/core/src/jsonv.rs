@@ -216,11 +216,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (may be multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain characters up to the next quote or
+                // escape in one go. Both are ASCII, which never occurs
+                // inside a multi-byte UTF-8 sequence, so the run ends on a
+                // character boundary of the input `&str`.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .ok_or("unterminated string")?;
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|e| e.to_string())?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -336,5 +343,36 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+    }
+
+    #[test]
+    fn multi_byte_characters_decode_at_string_edges() {
+        let v = parse(r#"{"é": "ünïcode → ok ✓", "s": "日本"}"#).unwrap();
+        assert_eq!(v.get("é").and_then(|x| x.as_str()), Some("ünïcode → ok ✓"));
+        assert_eq!(v.get("s").and_then(|x| x.as_str()), Some("日本"));
+        assert_eq!(parse("\"✓\"").unwrap().as_str(), Some("✓"));
+        assert_eq!(parse(r#""a\n✓\"é""#).unwrap().as_str(), Some("a\n✓\"é"));
+    }
+
+    #[test]
+    fn truncated_multi_byte_documents_are_errors() {
+        // Unterminated right after a multi-byte character, with and
+        // without an enclosing container, and mid-escape before one.
+        for doc in [
+            "\"é",
+            "[\"aé",
+            "{\"k\": \"日本",
+            "{\"日",
+            "\"\\u00é",
+            "\"\\✓\"",
+        ] {
+            assert!(parse(doc).is_err(), "{doc:?}");
+        }
+        // Every char-boundary prefix of a valid document fails cleanly.
+        let doc = r#"{"ü": ["✓", "x日本y", "\u00e9é"], "z": "→"}"#;
+        assert!(parse(doc).is_ok());
+        for (cut, _) in doc.char_indices() {
+            assert!(parse(&doc[..cut]).is_err(), "{:?}", &doc[..cut]);
+        }
     }
 }

@@ -90,8 +90,9 @@ pub fn slkt_path(hostname: &str) -> String {
     format!("{AGENT_INSTALL_PATH}/slkt/{hostname}.slkt")
 }
 
-/// Write the server's SLKT onto its disk (done once at install time).
-pub fn install_slkt(server: &mut Server, registry: &ServiceRegistry) {
+/// Write the server's SLKT onto its disk (done once at install time)
+/// and return it.
+pub fn install_slkt(server: &mut Server, registry: &ServiceRegistry) -> Slkt {
     let slkt = generate_slkt(server, registry);
     let lines = slkt.to_doc().to_lines();
     let _ = server.fs.write(
@@ -99,6 +100,7 @@ pub fn install_slkt(server: &mut Server, registry: &ServiceRegistry) {
         lines,
         intelliqos_simkern::SimTime::ZERO,
     );
+    slkt
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use intelliqos_simkern::{
 use intelliqos_cluster::faults::{
     Complexity, FaultCategory, FaultEvent, FaultInjector, FaultMechanism, TargetClass,
 };
+use intelliqos_cluster::fs::SimFs;
 use intelliqos_cluster::hardware::{ComponentHealth, HardwareComponent, ServerModel};
 use intelliqos_cluster::ids::{SegmentId, ServerId, Site};
 use intelliqos_cluster::net::{Fabric, SegmentKind};
@@ -34,6 +35,8 @@ use intelliqos_lsf::select::{
 use intelliqos_lsf::workload::{Arrival, WorkloadGenerator};
 
 use intelliqos_ontology::dgspl::Dgspl;
+use intelliqos_ontology::issl::Issl;
+use intelliqos_ontology::slkt::Slkt;
 use intelliqos_qoslint::ontology::{check_site, SiteOntology};
 use intelliqos_qoslint::{diag::render_report, Diagnostic, Severity};
 
@@ -544,9 +547,9 @@ impl World {
             private_seg,
             public_segs: vec![pub1, pub2],
         };
-        world.install_ontologies();
+        let (slkts, issls) = world.install_ontologies();
         let mut diags = world.slo_declaration_diagnostics();
-        diags.extend(world.ontology_diagnostics());
+        diags.extend(world.site_diagnostics(&slkts, &issls));
         if !diags.is_empty() {
             return Err(OntologyError { diags });
         }
@@ -648,28 +651,36 @@ impl World {
     /// DGSPL is the documented pre-boot state, not a violation). Empty
     /// result = valid site.
     pub fn ontology_diagnostics(&self) -> Vec<Diagnostic> {
-        let slkts: Vec<_> = self
+        let slkts: Vec<Slkt> = self
             .servers
             .values()
             .map(|s| ontogen::generate_slkt(s, &self.registry))
             .collect();
         let issls = ontogen::generate_issls(self.servers.values(), &self.registry);
+        self.site_diagnostics(&slkts, &issls)
+    }
+
+    /// The ontology pass over the given SLKTs and ISSLs plus the
+    /// current DGSPL (see [`World::ontology_diagnostics`]).
+    fn site_diagnostics(&self, slkts: &[Slkt], issls: &[Issl]) -> Vec<Diagnostic> {
         let dgspl = self.dgspl_selector.current();
         check_site(&SiteOntology {
-            slkts: &slkts,
-            issls: &issls,
+            slkts,
+            issls,
             dgspl: (!dgspl.entries.is_empty()).then_some(dgspl),
         })
     }
 
     /// Materialise the static ontologies at install time: per-server
     /// SLKTs on local disks, ISSL chunks in the admin shared pool, and
-    /// one OS-group performance collector per monitored server.
-    fn install_ontologies(&mut self) {
+    /// one OS-group performance collector per monitored server. Returns
+    /// the SLKTs (in server order) and ISSLs it wrote.
+    fn install_ontologies(&mut self) -> (Vec<Slkt>, Vec<Issl>) {
         let ids: Vec<ServerId> = self.servers.keys().copied().collect();
+        let mut slkts = Vec::with_capacity(ids.len());
         for sid in &ids {
             let server = self.servers.get_mut(sid).expect("server exists");
-            ontogen::install_slkt(server, &self.registry);
+            slkts.push(ontogen::install_slkt(server, &self.registry));
             self.perf.insert(
                 *sid,
                 PerfCollector::new(
@@ -688,6 +699,7 @@ impl World {
                 SimTime::ZERO,
             );
         }
+        (slkts, issls)
     }
 
     /// Start every service in dependency order at t = 0 and schedule
@@ -1338,17 +1350,7 @@ impl World {
                             Undo::KillProcess(sid, "leaky".into())
                         }
                         _ => {
-                            // A runaway debug trace fills /logs to ≥92 %.
-                            let line = "x".repeat(1 << 16);
-                            while server.fs.usage_fraction("/logs").unwrap_or(1.0) < 0.92 {
-                                if server
-                                    .fs
-                                    .append("/logs/app_debug_trace", line.clone(), now)
-                                    .is_err()
-                                {
-                                    break;
-                                }
-                            }
+                            fill_logs(&mut server.fs, now);
                             Undo::RotateLogs(sid)
                         }
                     }
@@ -2093,9 +2095,11 @@ impl World {
                 let server = self.servers.get_mut(&sid).expect("host exists");
                 let collector = self.perf.get_mut(&sid).expect("collector exists");
                 let breaches = collector.ingest(&snapshot, server, now);
+                let agent = crate::agents::AgentKind::Performance.name();
+                crate::flags::clear_flags(&mut server.fs, agent);
                 let _ = crate::flags::write_flag(
                     &mut server.fs,
-                    crate::agents::AgentKind::Performance.name(),
+                    agent,
                     if breaches.is_empty() {
                         crate::flags::FlagOutcome::Ok
                     } else {
@@ -2373,10 +2377,91 @@ pub fn run_scenario(cfg: ScenarioConfig) -> ScenarioReport {
     World::build(cfg).run()
 }
 
+/// A `DiskFill`'s runaway debug trace: 64 KiB lines appended until
+/// `/logs` is ≥ 92 % full. Nothing reads the lines, so they are kept by
+/// size only.
+fn fill_logs(fs: &mut SimFs, now: SimTime) {
+    while fs.usage_fraction("/logs").unwrap_or(1.0) < 0.92 {
+        if fs
+            .append_sized("/logs/app_debug_trace", 1 << 16, now)
+            .is_err()
+        {
+            break;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::ScenarioConfig;
+
+    #[test]
+    fn disk_fill_by_size_equals_the_line_append_loop() {
+        // The fill as 64 KiB lines of text, before it kept sizes only.
+        fn fill_with_lines(fs: &mut SimFs, now: SimTime) {
+            let line = "x".repeat(1 << 16);
+            while fs.usage_fraction("/logs").unwrap_or(1.0) < 0.92 {
+                if fs
+                    .append("/logs/app_debug_trace", line.clone(), now)
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        }
+        let line = (1u64 << 16) + 1;
+        // A fresh host with /logs scaled down: one where the loop stops
+        // on the 92 % threshold (with a flag already on disk, so the stop
+        // point is not a multiple of the line), one where it stops on
+        // NoSpace.
+        for (cap, flag) in [(64 * line + 5000, true), (3 * line + 10, false)] {
+            let mut by_lines = Server::new(
+                ServerId(0),
+                "db000",
+                ServerModel::SunE4500.default_spec(),
+                Site::new("London", "LDN"),
+            );
+            by_lines.fs.add_mount("/logs", cap);
+            if flag {
+                let agent = crate::agents::AgentKind::Performance.name();
+                crate::flags::write_flag(
+                    &mut by_lines.fs,
+                    agent,
+                    crate::flags::FlagOutcome::Ok,
+                    None,
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            }
+            let mut by_size = by_lines.clone();
+            let now = SimTime::from_secs(60);
+            fill_with_lines(&mut by_lines.fs, now);
+            fill_logs(&mut by_size.fs, now);
+            assert_eq!(
+                by_lines.fs.used_bytes("/logs"),
+                by_size.fs.used_bytes("/logs")
+            );
+            assert_eq!(
+                by_lines.fs.usage_fraction("/logs"),
+                by_size.fs.usage_fraction("/logs")
+            );
+            let (a, b) = (
+                by_lines.fs.read("/logs/app_debug_trace").unwrap(),
+                by_size.fs.read("/logs/app_debug_trace").unwrap(),
+            );
+            assert_eq!(a.size_bytes(), b.size_bytes());
+            assert_eq!((a.created_at, a.modified_at), (b.created_at, b.modified_at));
+            assert!(b.lines.is_empty());
+            // Rotation frees exactly what the fill took.
+            by_lines.fs.remove("/logs/app_debug_trace").unwrap();
+            by_size.fs.remove("/logs/app_debug_trace").unwrap();
+            assert_eq!(
+                by_lines.fs.used_bytes("/logs"),
+                by_size.fs.used_bytes("/logs")
+            );
+        }
+    }
 
     fn small(mode: ManagementMode) -> ScenarioConfig {
         let mut cfg = ScenarioConfig::small(42, mode);

@@ -106,6 +106,16 @@ impl WorkloadGenerator {
         spec
     }
 
+    /// Advance the stream past one [`WorkloadGenerator::draw_spec`]
+    /// without building the spec: the same draws, in the same order.
+    fn burn_spec(&mut self) {
+        let _ = self.rng.choose_weighted(&self.config.kind_weights);
+        let _ = self
+            .rng
+            .uniform_u64(0, self.config.analysts.max(1) as u64 - 1);
+        let _ = self.rng.lognormal_median(1.0, self.config.runtime_sigma);
+    }
+
     /// Generate the arrival tape over `[0, horizon)` by thinning a
     /// homogeneous Poisson process at the peak rate.
     pub fn generate_tape(&mut self, horizon: SimDuration) -> Vec<Arrival> {
@@ -131,9 +141,9 @@ impl WorkloadGenerator {
                 let spec = self.draw_spec(at);
                 tape.push(Arrival { at, spec });
             } else {
-                // Burn the same number of draws as the accept path so the
-                // tape prefix is stable under horizon extension.
-                let _ = self.draw_spec(at);
+                // Burn the same draws as the accept path so the tape
+                // prefix is stable under horizon extension.
+                self.burn_spec();
             }
         }
         tape
@@ -157,6 +167,17 @@ mod tests {
         assert!(a.iter().zip(&b).all(|(x, y)| x == y));
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn burning_a_spec_advances_the_stream_like_drawing_one() {
+        let mut drawn = generator(5);
+        let mut burnt = generator(5);
+        for i in 0..1000 {
+            let _ = drawn.draw_spec(SimTime::from_secs(i));
+            burnt.burn_spec();
+            assert_eq!(drawn.rng.next_u64(), burnt.rng.next_u64());
+        }
     }
 
     #[test]

@@ -6,17 +6,16 @@
 //! — there is no iteration-order nondeterminism anywhere in the kernel.
 //!
 //! Cancellation is supported through [`EventToken`]s: cancelling is
-//! O(log n) — the sequence number is dropped from the ordered live set
-//! and the heap entry becomes a tombstone, silently skipped on pop and
+//! O(1) — the sequence number's bit is cleared in the live set and the
+//! heap entry becomes a tombstone, silently skipped on pop and
 //! bulk-purged once tombstones outnumber live entries. This is how the
 //! cluster model retracts, e.g., a pending "job completes" event when
-//! the database hosting the job crashes first. The live set is a
-//! `BTreeSet` (not a hash set) so that every traversal of pending state
-//! — debug dumps included — is deterministic across runs and hosts.
+//! the database hosting the job crashes first. Sequence numbers are
+//! dense and monotone, so the live set is a bitset indexed by them, one
+//! bit per event ever scheduled.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::BinaryHeap;
-use std::collections::BTreeSet;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -68,7 +67,7 @@ pub struct EventQueue<E> {
     /// Sequence numbers of events still pending (scheduled, not yet
     /// popped or cancelled). Heap entries whose seq is absent are
     /// tombstones awaiting the lazy purge.
-    live: BTreeSet<u64>,
+    live: LiveSet,
     next_seq: u64,
     now: SimTime,
 }
@@ -84,7 +83,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: BTreeSet::new(),
+            live: LiveSet::default(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -130,10 +129,11 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, payload)
     }
 
-    /// Cancel a previously scheduled event in O(1). Returns `false` if
+    /// Cancel a previously scheduled event: O(1), plus the amortised
+    /// O(1) share of a tombstone purge. Returns `false` if
     /// the event already fired, was already cancelled, or never existed.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        if !self.live.remove(&token.0) {
+        if !self.live.remove(token.0) {
             return false;
         }
         self.maybe_purge();
@@ -151,7 +151,7 @@ impl<E> EventQueue<E> {
         let live = &self.live;
         self.heap = entries
             .into_iter()
-            .filter(|e| live.contains(&e.seq))
+            .filter(|e| live.contains(e.seq))
             .collect();
     }
 
@@ -165,7 +165,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skip_dead();
         let entry = self.heap.pop()?;
-        self.live.remove(&entry.seq);
+        self.live.remove(entry.seq);
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         Some((entry.at, entry.payload))
@@ -182,7 +182,7 @@ impl<E> EventQueue<E> {
     /// Drop tombstoned entries sitting at the top of the heap.
     fn skip_dead(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.live.contains(&top.seq) {
+            if self.live.contains(top.seq) {
                 break;
             }
             self.heap.pop();
@@ -197,6 +197,50 @@ impl<E> EventQueue<E> {
     pub fn advance_clock(&mut self, to: SimTime) {
         assert!(to >= self.now, "clock cannot move backwards");
         self.now = to;
+    }
+}
+
+/// The set of pending sequence numbers: one bit per sequence number
+/// ever issued, plus the count of set bits.
+#[derive(Default)]
+struct LiveSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl LiveSet {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn contains(&self, seq: u64) -> bool {
+        self.words
+            .get((seq / 64) as usize)
+            .is_some_and(|w| w & (1 << (seq % 64)) != 0)
+    }
+
+    /// Add `seq`, which is not in the set (sequence numbers are issued
+    /// once).
+    fn insert(&mut self, seq: u64) {
+        let word = (seq / 64) as usize;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (seq % 64);
+        self.len += 1;
+    }
+
+    /// Clear `seq`; false if it was not set.
+    fn remove(&mut self, seq: u64) -> bool {
+        let bit = 1 << (seq % 64);
+        match self.words.get_mut((seq / 64) as usize) {
+            Some(w) if *w & bit != 0 => {
+                *w &= !bit;
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 }
 

@@ -1,18 +1,18 @@
 //! The performance-collection pipeline.
 //!
 //! A [`PerfCollector`] is the state a performance intelliagent carries
-//! for one server: per-metric time series (timestamp-ordered, §3.5),
-//! circular-queue log files written into the server's `/logs/perf/…`
-//! tree, threshold baselines, and the breach notifications it raised.
+//! for one server: the circular-queue log file written into the
+//! server's `/logs/perf/…` tree (one timestamped line per sample, §3.5),
+//! threshold baselines, and the breach notifications it raised.
 //!
 //! "All techniques were non-intrusive as they did not load the system
 //! they were monitoring" — collection itself costs nothing in the
 //! simulation's load model; the *footprint* of the monitoring process is
 //! modelled separately for Figures 3–4.
 
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use intelliqos_simkern::{CircularQueue, SimTime, TimeSeries};
+use intelliqos_simkern::{CircularQueue, SimTime};
 
 use intelliqos_cluster::server::Server;
 
@@ -47,8 +47,10 @@ pub struct PerfCollector {
     /// Circular log length (lines) — "managed as a circular queue, the
     /// length of which was configurable".
     pub log_capacity: usize,
-    series: BTreeMap<String, TimeSeries>,
     log: CircularQueue<String>,
+    /// Whether the on-disk file holds `log`; false after a failed write
+    /// (full or unmounted `/logs`), so the next write rewrites it whole.
+    synced: bool,
     breaches: Vec<Breach>,
 }
 
@@ -65,8 +67,8 @@ impl PerfCollector {
             group,
             thresholds,
             log_capacity,
-            series: BTreeMap::new(),
             log: CircularQueue::new(log_capacity.max(1)),
+            synced: true,
             breaches: Vec::new(),
         }
     }
@@ -76,35 +78,36 @@ impl PerfCollector {
         format!("/logs/perf/{}/{}", self.hostname, self.group.dir_name())
     }
 
-    /// Ingest one snapshot: extend the series, write the circular log
-    /// file onto the server's filesystem, check thresholds. Returns the
-    /// breaches raised by this sample.
+    /// Ingest one snapshot: append it to the circular log file on the
+    /// server's filesystem, check thresholds. Returns the breaches
+    /// raised by this sample.
     pub fn ingest(
         &mut self,
         snapshot: &MetricSnapshot,
         server: &mut Server,
         now: SimTime,
     ) -> Vec<Breach> {
-        // Series, timestamp-ordered.
-        for (name, &value) in snapshot {
-            self.series
-                .entry(name.clone())
-                .or_default()
-                .push(now, value);
-        }
         // One ASCII log line per sample: "ts k=v k=v …" — the flat
         // format the paper's operators could grep.
         let mut line = format!("t={}", now.as_secs());
         for (name, value) in snapshot {
-            line.push_str(&format!(" {name}={value:.3}"));
+            let _ = write!(line, " {name}={value:.3}");
         }
-        self.log.push(line);
-        // Rewrite the circular file (oldest → newest window).
-        let lines: Vec<String> = self.log.iter().cloned().collect();
-        // A full /logs filesystem makes this write fail — that is a real
-        // fault the resource agent must notice; the collector itself
-        // soldiers on with its in-memory window.
-        let _ = server.fs.write(self.log_path(), lines, now);
+        self.log.push(line.clone());
+        // The circular file holds the window, oldest → newest. A full
+        // /logs filesystem makes this write fail — that is a real fault
+        // the resource agent must notice; the collector itself soldiers
+        // on with its in-memory window and rewrites the file whole once
+        // a write succeeds again.
+        let written = if self.synced {
+            server
+                .fs
+                .rotate_append(self.log_path(), line, self.log.capacity(), now)
+        } else {
+            let lines: Vec<String> = self.log.iter().cloned().collect();
+            server.fs.write(self.log_path(), lines, now)
+        };
+        self.synced = written.is_ok();
         // Threshold checks.
         let violations = self.thresholds.check(snapshot);
         let breaches: Vec<Breach> = violations
@@ -120,16 +123,6 @@ impl PerfCollector {
         breaches
     }
 
-    /// Time series for a metric.
-    pub fn series(&self, metric: &str) -> Option<&TimeSeries> {
-        self.series.get(metric)
-    }
-
-    /// Names of all collected metrics.
-    pub fn metric_names(&self) -> Vec<&str> {
-        self.series.keys().map(|s| s.as_str()).collect()
-    }
-
     /// All breaches raised so far.
     pub fn breaches(&self) -> &[Breach] {
         &self.breaches
@@ -138,16 +131,6 @@ impl PerfCollector {
     /// The retained log window (oldest → newest).
     pub fn log_lines(&self) -> Vec<&str> {
         self.log.iter().map(|s| s.as_str()).collect()
-    }
-
-    /// Associate two metrics by timestamp (§3.5: "Different types of
-    /// measurements were associated together by matching their
-    /// timestamps"), applying `f` to each matched pair.
-    pub fn correlate<F>(&self, a: &str, b: &str, f: F) -> Option<TimeSeries>
-    where
-        F: FnMut(SimTime, f64, f64) -> f64,
-    {
-        Some(self.series.get(a)?.join_with(self.series.get(b)?, f))
     }
 }
 
@@ -178,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_builds_series_and_log_file() {
+    fn ingest_writes_the_log_file() {
         let mut c = collector(100);
         let mut s = server();
         for i in 0..5 {
@@ -188,8 +171,6 @@ mod tests {
                 SimTime::from_mins(i * 10),
             );
         }
-        assert_eq!(c.series("run_queue").unwrap().len(), 5);
-        assert_eq!(c.metric_names(), vec!["cpu_idle_pct", "run_queue"]);
         // The on-disk circular file exists and has 5 lines.
         let f = s.fs.read("/logs/perf/db000/os").unwrap();
         assert_eq!(f.lines.len(), 5);
@@ -251,18 +232,61 @@ mod tests {
     }
 
     #[test]
-    fn correlate_joins_by_timestamp() {
-        let mut c = collector(10);
+    fn file_matches_the_window_across_a_full_logs_episode() {
+        let mut c = collector(4);
         let mut s = server();
-        c.ingest(&snapshot(&[("a", 2.0), ("b", 3.0)]), &mut s, SimTime::ZERO);
-        c.ingest(
-            &snapshot(&[("a", 4.0), ("b", 5.0)]),
-            &mut s,
-            SimTime::from_mins(1),
+        s.fs.add_mount("/logs", 400);
+        let window_on_disk = |c: &PerfCollector, s: &Server| {
+            let f = s.fs.read("/logs/perf/db000/os").unwrap();
+            assert_eq!(f.lines, c.log_lines());
+            assert_eq!(s.fs.used_bytes("/logs"), Some(f.size_bytes() + filler(s)));
+        };
+        fn filler(s: &Server) -> u64 {
+            s.fs.read("/logs/filler")
+                .map(|f| f.size_bytes())
+                .unwrap_or(0)
+        }
+        let mut t = 0u64;
+        let mut sample = |c: &mut PerfCollector, s: &mut Server| {
+            t += 1;
+            // Each line is one byte longer than the last, so a full
+            // /logs refuses it.
+            c.ingest(
+                &snapshot(&[("run_queue", 10f64.powi(t as i32))]),
+                s,
+                SimTime::from_mins(t),
+            );
+        };
+        for _ in 0..6 {
+            sample(&mut c, &mut s);
+            window_on_disk(&c, &s);
+        }
+        // Fill /logs: the writes fail and the file goes stale.
+        while s
+            .fs
+            .append("/logs/filler", "x".repeat(40), SimTime::ZERO)
+            .is_ok()
+        {}
+        while s.fs.append("/logs/filler", "", SimTime::ZERO).is_ok() {}
+        for _ in 0..3 {
+            sample(&mut c, &mut s);
+        }
+        assert_ne!(
+            s.fs.read("/logs/perf/db000/os").unwrap().lines,
+            c.log_lines()
         );
-        let prod = c.correlate("a", "b", |_, x, y| x * y).unwrap();
-        assert_eq!(prod.points()[0].1, 6.0);
-        assert_eq!(prod.points()[1].1, 20.0);
-        assert!(c.correlate("a", "ghost", |_, x, _| x).is_none());
+        // Unmounted: still failing.
+        s.fs.set_mounted("/logs", false);
+        sample(&mut c, &mut s);
+        s.fs.set_mounted("/logs", true);
+        // Rotation frees space; the recovery write restores the window.
+        s.fs.remove("/logs/filler").unwrap();
+        for _ in 0..6 {
+            sample(&mut c, &mut s);
+            window_on_disk(&c, &s);
+        }
+        let f = s.fs.read("/logs/perf/db000/os").unwrap();
+        assert_eq!(f.created_at, SimTime::from_mins(1));
+        assert_eq!(f.modified_at, SimTime::from_mins(16));
     }
 }

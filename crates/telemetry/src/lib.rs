@@ -3,9 +3,8 @@
 //! Performance measurement for the `intelliqos` reproduction of Corsava
 //! & Getov (IPDPS 2003): the paper's five measurement groups, metric
 //! extraction from the simulated substrate, circular-queue ASCII logs,
-//! timestamp-joined time series, threshold baselines with breach
-//! notifications, microstate accounting summaries, daily summary
-//! reports, and the non-resident agent footprint model behind
+//! threshold baselines with breach notifications, microstate accounting
+//! summaries, and the non-resident agent footprint model behind
 //! Figures 3–4.
 
 #![warn(missing_docs)]
@@ -13,7 +12,6 @@
 pub mod collector;
 pub mod footprint;
 pub mod metrics;
-pub mod report;
 
 pub use collector::{Breach, PerfCollector};
 pub use footprint::AgentFootprint;
@@ -21,4 +19,3 @@ pub use metrics::{
     app_process_metrics, disk_metrics, microstate_metrics, network_metrics, os_metrics,
     user_process_metrics, MetricGroup, MetricSnapshot,
 };
-pub use report::{daily_report, summarize_series, MetricSummary};

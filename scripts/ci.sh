@@ -32,6 +32,9 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== qosbench tests (the benchmark is its own workspace; this builds it against the crates)"
+cargo test -q --offline --manifest-path qosbench/Cargo.toml
+
 echo "== evidence smoke (fig2_downtime --profile --trace, ontology_check)"
 rm -rf results/evidence
 # The committed results/BENCH_fig2.json comes from a 30-day profile

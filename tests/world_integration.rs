@@ -122,6 +122,30 @@ fn flags_exist_and_are_fresh_on_every_monitored_server() {
 }
 
 #[test]
+fn agents_keep_their_flag_trees_bounded() {
+    // A quiet site: with no injected faults, only the agents' own
+    // bookkeeping writes files, and each run clears its previous flags.
+    let mut cfg = small(5, ManagementMode::Intelliagents);
+    cfg.fault_rates = cfg.fault_rates.scaled(0.0);
+    let mut w = World::build(cfg);
+    let files_per_host =
+        |w: &World| -> Vec<usize> { w.servers.values().map(|s| s.fs.list("/").len()).collect() };
+    w.run_until(SimTime::from_days(2));
+    let day2 = files_per_host(&w);
+    w.run_until(SimTime::from_days(3));
+    for server in w.servers.values() {
+        let perf = intelliqos::core::flags::read_flags(&server.fs, "intelliagent_perf");
+        assert!(
+            perf.len() <= 1,
+            "{}: {} perf flags",
+            server.hostname,
+            perf.len()
+        );
+    }
+    assert_eq!(files_per_host(&w), day2);
+}
+
+#[test]
 fn manual_mode_runs_no_agents() {
     let cfg = small(5, ManagementMode::ManualOps);
     let mut w = World::build(cfg);
