@@ -79,7 +79,8 @@ fn bench_selectors(c: &mut Criterion) {
     c.bench_function("select/dgspl_shortlist_100", |b| {
         let host_ids: BTreeMap<String, ServerId> =
             srv.values().map(|s| (s.hostname.clone(), s.id)).collect();
-        let mut sel = DgsplSelector::new(dgspl(100), host_ids, "db-oracle");
+        let mut sel = DgsplSelector::new(host_ids, "db-oracle");
+        sel.update(dgspl(100));
         b.iter(|| black_box(sel.select(&job, &cands)))
     });
 }

@@ -29,7 +29,7 @@ fn segment_report(w: &mut World, label: &str) {
             );
         }
     }
-    if let Some(dgspl) = &w.admin.last_dgspl {
+    if let Some(dgspl) = w.dgspl() {
         println!(
             "DGSPL age at horizon: {}s ({} entries)",
             w.now().as_secs() - dgspl.generated_at_secs,

@@ -8,6 +8,7 @@
 //! *real* fault the resource agents must detect (from a failed write)
 //! and heal (by rotating old logs).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -292,6 +293,12 @@ impl SimFs {
         self.files.get(&path).ok_or(FsError::NotFound(path))
     }
 
+    /// The stored file at `path` whatever the state of its mount: what
+    /// an unmounted filesystem keeps until it is mounted again.
+    pub fn stored(&self, path: &str) -> Option<&SimFile> {
+        self.files.get(normalized(path).as_ref())
+    }
+
     /// Does the path exist (and its filesystem is mounted)?
     pub fn exists(&self, path: &str) -> bool {
         self.read(path).is_ok()
@@ -314,12 +321,13 @@ impl SimFs {
     /// over the sorted keys that start with `dir`, so the cost follows
     /// what is listed, not what else is on the host.
     pub fn list(&self, dir: &str) -> Vec<&str> {
-        let dir = normalize(dir.to_string());
+        let dir = normalized(dir);
+        let dir = dir.as_ref();
         self.files
-            .range::<str, _>((Bound::Included(dir.as_str()), Bound::Unbounded))
+            .range::<str, _>((Bound::Included(dir), Bound::Unbounded))
             .map(|(p, _)| p.as_str())
-            .take_while(|p| p.starts_with(dir.as_str()))
-            .filter(|p| covers(&dir, p))
+            .take_while(|p| p.starts_with(dir))
+            .filter(|p| covers(dir, p))
             .collect()
     }
 
@@ -350,6 +358,15 @@ fn normalize(mut p: String) -> String {
         p.pop();
     }
     p
+}
+
+/// [`normalize`] that borrows a path that is already normal.
+fn normalized(p: &str) -> Cow<'_, str> {
+    if p.starts_with('/') && (p.len() == 1 || !p.ends_with('/')) {
+        Cow::Borrowed(p)
+    } else {
+        Cow::Owned(normalize(p.to_string()))
+    }
 }
 
 /// Does directory/mount `prefix` cover `path`? (Allocation-free: this

@@ -46,6 +46,21 @@ pub enum OsKind {
 }
 
 impl ServerModel {
+    /// The model's name, as DLSPs and DGSPLs carry it.
+    pub const fn name(self) -> &'static str {
+        match self {
+            ServerModel::SunE10k => "Sun-E10000",
+            ServerModel::SunE4500 => "Sun-E4500",
+            ServerModel::SunE450 => "Sun-E450",
+            ServerModel::SunE220r => "Sun-E220R",
+            ServerModel::SunUltra10 => "Sun-Ultra10",
+            ServerModel::HpKClass => "HP-K-class",
+            ServerModel::HpTClass => "HP-T-class",
+            ServerModel::IbmSp2 => "IBM-SP2",
+            ServerModel::LinuxBox => "Linux-x86",
+        }
+    }
+
     /// All known models.
     pub const ALL: [ServerModel; 9] = [
         ServerModel::SunE10k,
@@ -109,18 +124,7 @@ impl ServerModel {
 
 impl fmt::Display for ServerModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ServerModel::SunE10k => "Sun-E10000",
-            ServerModel::SunE4500 => "Sun-E4500",
-            ServerModel::SunE450 => "Sun-E450",
-            ServerModel::SunE220r => "Sun-E220R",
-            ServerModel::SunUltra10 => "Sun-Ultra10",
-            ServerModel::HpKClass => "HP-K-class",
-            ServerModel::HpTClass => "HP-T-class",
-            ServerModel::IbmSp2 => "IBM-SP2",
-            ServerModel::LinuxBox => "Linux-x86",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 

@@ -25,6 +25,11 @@ use intelliqos_ontology::dlsp::Dlsp;
 use crate::agents::AgentKind;
 use crate::flags;
 
+/// Where a host's latest DLSP lives in the shared pool.
+pub(crate) fn pool_dlsp_path(hostname: &str) -> String {
+    format!("/pool/dlsp/{hostname}.dlsp")
+}
+
 /// The HA pair of administration servers plus their shared NFS pool.
 #[derive(Debug, Clone)]
 pub struct AdminPair {
@@ -37,8 +42,6 @@ pub struct AdminPair {
     pub shared_pool: SimFs,
     /// Latest profile per hostname (the in-memory index over the pool).
     dlsps: BTreeMap<String, Dlsp>,
-    /// The most recently generated global list.
-    pub last_dgspl: Option<Dgspl>,
 }
 
 impl AdminPair {
@@ -51,7 +54,6 @@ impl AdminPair {
             standby,
             shared_pool,
             dlsps: BTreeMap::new(),
-            last_dgspl: None,
         }
     }
 
@@ -70,14 +72,18 @@ impl AdminPair {
     }
 
     /// Ingest a DLSP shipped over the agent network: index it and
-    /// persist it in the shared pool.
-    pub fn ingest_dlsp(&mut self, dlsp: Dlsp, now: SimTime) {
-        let _ = self.shared_pool.write(
-            format!("/pool/dlsp/{}.dlsp", dlsp.hostname),
-            dlsp.to_doc().to_lines(),
-            now,
-        );
-        self.dlsps.insert(dlsp.hostname.clone(), dlsp);
+    /// persist `lines`, the profile's file as the status agent rendered
+    /// it, in the shared pool.
+    pub fn ingest_dlsp(&mut self, dlsp: Dlsp, lines: Vec<String>, now: SimTime) {
+        let _ = self
+            .shared_pool
+            .write(pool_dlsp_path(&dlsp.hostname), lines, now);
+        match self.dlsps.get_mut(&dlsp.hostname) {
+            Some(slot) => *slot = dlsp,
+            None => {
+                self.dlsps.insert(dlsp.hostname.clone(), dlsp);
+            }
+        }
     }
 
     /// Latest profile for a host.
@@ -107,17 +113,14 @@ impl AdminPair {
     where
         F: Fn(&str, u32) -> f64,
     {
-        let fresh: Vec<Dlsp> = self
+        let fresh = self
             .dlsps
             .values()
-            .filter(|d| d.age_secs(now.as_secs()) <= max_age.as_secs())
-            .cloned()
-            .collect();
-        let dgspl = Dgspl::from_dlsps(&fresh, now.as_secs(), power_of);
+            .filter(|d| d.age_secs(now.as_secs()) <= max_age.as_secs());
+        let dgspl = Dgspl::from_dlsps(fresh, now.as_secs(), power_of);
         let _ = self
             .shared_pool
-            .write("/pool/dgspl/current.dgspl", dgspl.to_doc().to_lines(), now);
-        self.last_dgspl = Some(dgspl.clone());
+            .write("/pool/dgspl/current.dgspl", dgspl.to_lines(), now);
         dgspl
     }
 
@@ -196,6 +199,11 @@ mod tests {
         }
     }
 
+    fn ingest(pair: &mut AdminPair, d: Dlsp, now: SimTime) {
+        let lines = d.to_lines();
+        pair.ingest_dlsp(d, lines, now);
+    }
+
     #[test]
     fn failover_logic() {
         let mut servers: BTreeMap<ServerId, Server> = BTreeMap::new();
@@ -212,8 +220,16 @@ mod tests {
     #[test]
     fn dlsp_ingest_and_shared_pool_persistence() {
         let mut pair = AdminPair::new(ServerId(100), ServerId(101));
-        pair.ingest_dlsp(dlsp("db001", 900, "running"), SimTime::from_mins(15));
-        pair.ingest_dlsp(dlsp("db001", 1800, "running"), SimTime::from_mins(30));
+        ingest(
+            &mut pair,
+            dlsp("db001", 900, "running"),
+            SimTime::from_mins(15),
+        );
+        ingest(
+            &mut pair,
+            dlsp("db001", 1800, "running"),
+            SimTime::from_mins(30),
+        );
         assert_eq!(pair.dlsp_count(), 1); // replaced, not accumulated
         assert_eq!(pair.dlsp_of("db001").unwrap().generated_at_secs, 1800);
         // Pool file survives (failover durability).
@@ -223,8 +239,12 @@ mod tests {
     #[test]
     fn stale_host_detection() {
         let mut pair = AdminPair::new(ServerId(100), ServerId(101));
-        pair.ingest_dlsp(dlsp("fresh", 1800, "running"), SimTime::from_mins(30));
-        pair.ingest_dlsp(dlsp("stale", 0, "running"), SimTime::ZERO);
+        ingest(
+            &mut pair,
+            dlsp("fresh", 1800, "running"),
+            SimTime::from_mins(30),
+        );
+        ingest(&mut pair, dlsp("stale", 0, "running"), SimTime::ZERO);
         let stale = pair.stale_hosts(SimTime::from_mins(30), SimDuration::from_mins(10));
         assert_eq!(stale, vec!["stale"]);
     }
@@ -232,9 +252,17 @@ mod tests {
     #[test]
     fn dgspl_generation_filters_stale_and_persists() {
         let mut pair = AdminPair::new(ServerId(100), ServerId(101));
-        pair.ingest_dlsp(dlsp("fresh", 1700, "running"), SimTime::from_mins(30));
-        pair.ingest_dlsp(dlsp("stale", 0, "running"), SimTime::ZERO);
-        pair.ingest_dlsp(dlsp("dead-db", 1750, "refused"), SimTime::from_mins(30));
+        ingest(
+            &mut pair,
+            dlsp("fresh", 1700, "running"),
+            SimTime::from_mins(30),
+        );
+        ingest(&mut pair, dlsp("stale", 0, "running"), SimTime::ZERO);
+        ingest(
+            &mut pair,
+            dlsp("dead-db", 1750, "refused"),
+            SimTime::from_mins(30),
+        );
         let dg = pair.generate_dgspl(
             SimTime::from_mins(30),
             SimDuration::from_mins(20),
@@ -243,8 +271,8 @@ mod tests {
         // Only the fresh host with a running database appears.
         assert_eq!(dg.entries.len(), 1);
         assert_eq!(dg.entries[0].hostname, "fresh");
-        assert!(pair.shared_pool.exists("/pool/dgspl/current.dgspl"));
-        assert!(pair.last_dgspl.is_some());
+        let file = pair.shared_pool.read("/pool/dgspl/current.dgspl").unwrap();
+        assert_eq!(Dgspl::parse_text(&file.lines.join("\n")).unwrap(), dg);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! servers watch flag freshness; agents clean their own old flags
 //! (self-maintenance).
 
+use std::fmt::Write as _;
+
 use intelliqos_cluster::fs::SimFs;
 use intelliqos_simkern::SimTime;
 
@@ -89,23 +91,30 @@ pub fn write_flag(
     detail: Option<&str>,
     now: SimTime,
 ) -> Result<(), intelliqos_cluster::fs::FsError> {
-    let mut name = format!("run_{}.{}", now.as_secs(), outcome.suffix());
+    let secs = now.as_secs();
+    let digits = secs.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let detail_len = detail.map_or(0, |d| 1 + d.chars().count());
+    // One exact-size allocation: the path is stored as the file's key.
+    let mut path = String::with_capacity(
+        FLAG_ROOT.len()
+            + agent.len()
+            + "//run_.".len()
+            + digits
+            + outcome.suffix().len()
+            + detail_len,
+    );
+    let _ = write!(path, "{FLAG_ROOT}/{agent}/run_{secs}.{}", outcome.suffix());
     if let Some(d) = detail {
-        let clean: String = d
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        name.push('.');
-        name.push_str(&clean);
+        path.push('.');
+        path.extend(d.chars().map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        }));
     }
-    let path = format!("{}/{}", agent_dir(agent), name);
-    fs.write(path, vec![format!("at={}", now.as_secs())], now)
+    fs.write(path, vec![format!("at={secs}")], now)
 }
 
 /// Parse one flag path (under [`FLAG_ROOT`]).

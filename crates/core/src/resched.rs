@@ -25,8 +25,8 @@ use intelliqos_ontology::dgspl::Dgspl;
 /// or at their job limit *right now* (the LSF layer knows that much), so
 /// staleness costs placement quality, not correctness.
 pub struct DgsplSelector {
-    /// Latest global profile list.
-    dgspl: Dgspl,
+    /// Latest global profile list; `None` until the first one arrives.
+    dgspl: Option<Dgspl>,
     /// Hostname → server id mapping (DGSPLs speak hostnames).
     host_ids: BTreeMap<String, ServerId>,
     /// Application-type prefix jobs run against (`db-` covers both
@@ -39,14 +39,11 @@ pub struct DgsplSelector {
 }
 
 impl DgsplSelector {
-    /// New selector over a DGSPL snapshot.
-    pub fn new(
-        dgspl: Dgspl,
-        host_ids: BTreeMap<String, ServerId>,
-        app_type: impl Into<String>,
-    ) -> Self {
+    /// New selector with no DGSPL yet: it selects nothing until the
+    /// first [`DgsplSelector::update`].
+    pub fn new(host_ids: BTreeMap<String, ServerId>, app_type: impl Into<String>) -> Self {
         DgsplSelector {
-            dgspl,
+            dgspl: None,
             host_ids,
             app_type: app_type.into(),
             replacement_floor: None,
@@ -55,12 +52,12 @@ impl DgsplSelector {
 
     /// Replace the DGSPL snapshot (called after each regeneration).
     pub fn update(&mut self, dgspl: Dgspl) {
-        self.dgspl = dgspl;
+        self.dgspl = Some(dgspl);
     }
 
-    /// The DGSPL snapshot currently driving selection.
-    pub fn current(&self) -> &Dgspl {
-        &self.dgspl
+    /// The DGSPL snapshot currently driving selection, if any.
+    pub fn current(&self) -> Option<&Dgspl> {
+        self.dgspl.as_ref()
     }
 
     /// Set the SLKT power floor for resubmitting work off a failed
@@ -74,22 +71,22 @@ impl DgsplSelector {
         self.replacement_floor = None;
     }
 
-    /// Age of the DGSPL snapshot in seconds at `now_secs`.
+    /// Age of the DGSPL snapshot in seconds at `now_secs` (with none
+    /// yet, the time since the epoch).
     pub fn staleness_secs(&self, now_secs: u64) -> u64 {
-        now_secs.saturating_sub(self.dgspl.generated_at_secs)
+        now_secs.saturating_sub(self.dgspl.as_ref().map_or(0, |d| d.generated_at_secs))
     }
 }
 
 impl ServerSelector for DgsplSelector {
     fn select(&mut self, job: &Job, candidates: &[ServerCandidate]) -> Option<ServerId> {
+        let dgspl = self.dgspl.as_ref()?;
         let pred = |e: &intelliqos_ontology::dgspl::DgsplEntry| {
             e.app_type.starts_with(self.app_type.as_str())
         };
         let shortlist = match &self.replacement_floor {
-            Some((model, power, ram)) => self
-                .dgspl
-                .replacement_shortlist_by(pred, model, *power, *ram),
-            None => self.dgspl.shortlist_by(pred),
+            Some((model, power, ram)) => dgspl.replacement_shortlist_by(pred, model, *power, *ram),
+            None => dgspl.shortlist_by(pred),
         };
         // Walk the shortlist best-first; take the first entry whose
         // server currently accepts jobs.
@@ -165,14 +162,12 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        DgsplSelector::new(
-            Dgspl {
-                generated_at_secs: 0,
-                entries,
-            },
-            host_ids,
-            "db-oracle",
-        )
+        let mut sel = DgsplSelector::new(host_ids, "db-oracle");
+        sel.update(Dgspl {
+            generated_at_secs: 0,
+            entries,
+        });
+        sel
     }
 
     fn job() -> Job {
@@ -234,6 +229,13 @@ mod tests {
         let mut cand = candidate(0, 0);
         cand.db_serving = false;
         assert_eq!(sel.select(&job(), &[cand]), None);
+    }
+
+    #[test]
+    fn no_dgspl_selects_nothing() {
+        let mut sel = DgsplSelector::new(BTreeMap::new(), "db-oracle");
+        assert!(sel.current().is_none());
+        assert_eq!(sel.select(&job(), &[candidate(0, 0)]), None);
     }
 
     #[test]

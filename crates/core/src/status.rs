@@ -25,13 +25,15 @@ pub fn dlsp_path(hostname: &str) -> String {
 }
 
 /// Compile the DLSP for one server: observe the OS, probe every hosted
-/// service, and write the flat-ASCII profile to the local disk.
+/// service, and write the flat-ASCII profile to the local disk. Returns
+/// the profile with the lines of its file, rendered once, for shipping
+/// to the administration servers' pool.
 pub fn run_status_agent(
     server: &mut Server,
     registry: &ServiceRegistry,
     rng: &mut SimRng,
     now: SimTime,
-) -> Dlsp {
+) -> (Dlsp, Vec<String>) {
     clear_flags(&mut server.fs, AgentKind::Status.name());
     let obs = server.observe(rng);
     let (load_score, free_mem_mb, cpu_idle_pct) = match &obs {
@@ -59,7 +61,7 @@ pub fn run_status_agent(
     let dlsp = Dlsp {
         hostname: server.hostname.clone(),
         generated_at_secs: now.as_secs(),
-        model: spec.model.to_string(),
+        model: spec.model.name().to_string(),
         os: server.os().to_string(),
         cpus: spec.cpus,
         ram_gb: spec.ram_gb,
@@ -73,9 +75,10 @@ pub fn run_status_agent(
     };
     // Self-maintenance: replace the previous profile ("removes … old
     // local dynamic service profiles").
+    let lines = dlsp.to_lines();
     let _ = server
         .fs
-        .write(dlsp_path(&server.hostname), dlsp.to_doc().to_lines(), now);
+        .write(dlsp_path(&server.hostname), lines.clone(), now);
     let all_ok = dlsp.all_services_running();
     let _ = write_flag(
         &mut server.fs,
@@ -88,12 +91,13 @@ pub fn run_status_agent(
         None,
         now,
     );
-    dlsp
+    (dlsp, lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::{pool_dlsp_path, AdminPair};
     use intelliqos_cluster::hardware::{HardwareSpec, ServerModel};
     use intelliqos_cluster::ids::{ServerId, Site};
     use intelliqos_services::spec::{DbEngine, ServiceSpec};
@@ -120,7 +124,7 @@ mod tests {
     fn dlsp_reflects_healthy_host() {
         let (mut server, reg) = setup();
         let mut rng = SimRng::stream(2, "status");
-        let dlsp = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
+        let (dlsp, _) = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
         assert_eq!(dlsp.hostname, "db000");
         assert_eq!(dlsp.generated_at_secs, 900);
         assert_eq!(dlsp.users, 4);
@@ -140,7 +144,7 @@ mod tests {
         let id = reg.ids_on_server(ServerId(0))[0];
         reg.get_mut(id).unwrap().hang();
         let mut rng = SimRng::stream(2, "status");
-        let dlsp = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
+        let (dlsp, _) = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
         assert_eq!(dlsp.services[0].status, "timeout");
         assert!(!dlsp.all_services_running());
         let flags = crate::flags::read_flags(&server.fs, "intelliagent_status");
@@ -161,13 +165,30 @@ mod tests {
     }
 
     #[test]
+    fn pool_copy_equals_the_local_profile() {
+        let (mut server, reg) = setup();
+        let mut pair = AdminPair::new(ServerId(100), ServerId(101));
+        let mut rng = SimRng::stream(2, "status");
+        for mins in [15, 30] {
+            let now = SimTime::from_mins(mins);
+            let (dlsp, lines) = run_status_agent(&mut server, &reg, &mut rng, now);
+            pair.ingest_dlsp(dlsp, lines, now);
+            let local = &server.fs.read(&dlsp_path("db000")).unwrap().lines;
+            let pooled = &pair.shared_pool.read(&pool_dlsp_path("db000")).unwrap();
+            assert_eq!(&pooled.lines, local);
+            assert_eq!(pooled.modified_at, now);
+            assert_eq!(local, &pair.dlsp_of("db000").unwrap().to_doc().to_lines());
+        }
+    }
+
+    #[test]
     fn dead_host_profiles_as_loaded() {
         let (mut server, reg) = setup();
         server.crash();
         let mut rng = SimRng::stream(2, "status");
         // (In reality no agent runs on a dead host; the world driver
         // skips them. The function itself must still be total.)
-        let dlsp = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
+        let (dlsp, _) = run_status_agent(&mut server, &reg, &mut rng, SimTime::from_mins(15));
         assert_eq!(dlsp.load_score, 1.5);
         assert_eq!(dlsp.services[0].status, "timeout");
     }

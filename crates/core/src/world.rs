@@ -493,10 +493,6 @@ impl World {
 
         let lsf = LsfCluster::new(db_hosts.clone(), cfg.job_limit_per_server);
         let dgspl_selector = DgsplSelector::new(
-            Dgspl {
-                generated_at_secs: 0,
-                entries: vec![],
-            },
             host_ids.clone(),
             "db-", // prefix: covers both database engines
         );
@@ -663,11 +659,10 @@ impl World {
     /// The ontology pass over the given SLKTs and ISSLs plus the
     /// current DGSPL (see [`World::ontology_diagnostics`]).
     fn site_diagnostics(&self, slkts: &[Slkt], issls: &[Issl]) -> Vec<Diagnostic> {
-        let dgspl = self.dgspl_selector.current();
         check_site(&SiteOntology {
             slkts,
             issls,
-            dgspl: (!dgspl.entries.is_empty()).then_some(dgspl),
+            dgspl: self.dgspl().filter(|d| !d.entries.is_empty()),
         })
     }
 
@@ -857,6 +852,13 @@ impl World {
         self.queue.now()
     }
 
+    /// The latest DGSPL the administration servers generated (`None`
+    /// before the first regeneration): the snapshot the DGSPL
+    /// rescheduler selects from.
+    pub fn dgspl(&self) -> Option<&Dgspl> {
+        self.dgspl_selector.current()
+    }
+
     /// The exogenous fault tape (fixed at build time; identical across
     /// management modes for the same seed — the paired-run invariant).
     pub fn fault_tape(&self) -> &[FaultEvent] {
@@ -881,7 +883,7 @@ impl World {
             db_crashes: self.db_crash_count,
             notifications: self.bus.log().len(),
             open_incidents: self.ledger.open_incidents().len(),
-            threshold_breaches: self.perf.values().map(|c| c.breaches().len() as u64).sum(),
+            threshold_breaches: self.perf.values().map(|c| c.breach_count()).sum(),
         }
     }
 
@@ -2007,7 +2009,7 @@ impl World {
                     continue;
                 }
                 let t_status = self.profiler.start();
-                let dlsp = {
+                let (dlsp, lines) = {
                     let server = self.servers.get_mut(&sid).expect("host exists");
                     run_status_agent(server, &self.registry, &mut self.rng_probe, now)
                 };
@@ -2020,7 +2022,7 @@ impl World {
                 let _ =
                     self.fabric
                         .transmit(sid, admin_host, bytes, SegmentKind::PrivateAgent, now);
-                self.admin.ingest_dlsp(dlsp, now);
+                self.admin.ingest_dlsp(dlsp, lines, now);
             }
             let t_gen = self.profiler.start();
             let dgspl =
@@ -2028,7 +2030,7 @@ impl World {
                     .generate_dgspl(now, self.cfg.dgspl_period.times(2), |model, cpus| {
                         ServerModel::ALL
                             .iter()
-                            .find(|m| m.to_string() == model)
+                            .find(|m| m.name() == model)
                             .map(|m| m.cpu_power() * cpus as f64)
                             .unwrap_or(cpus as f64 * 0.5)
                     });

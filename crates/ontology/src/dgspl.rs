@@ -9,7 +9,12 @@
 //! batch job in a shortlist, with the best choice always first" (§4).
 
 use crate::dlsp::Dlsp;
-use crate::flat::{FlatDoc, FlatError, FlatRecord};
+use crate::flat::{
+    doc_header, section_header, FieldSink, FlatDoc, FlatError, FlatRecord, LineWriter,
+};
+
+const DOC_KIND: &str = "dgspl";
+const DOC_VERSION: u32 = 1;
 
 /// One available-service tuple, exactly the paper's 8-field shape plus
 /// the hostname (needed to actually submit anywhere) and compute power
@@ -45,6 +50,25 @@ pub struct DgsplEntry {
     pub service: String,
 }
 
+impl DgsplEntry {
+    /// The fields of one `available` record, in file order.
+    fn fields(&self, r: &mut impl FieldSink) {
+        r.field("hostname", &self.hostname);
+        r.field("server_type", &self.server_type);
+        r.field("os", &self.os);
+        r.num("ram_gb", self.ram_gb as f64);
+        r.num("cpus", self.cpus as f64);
+        r.num("power", self.compute_power);
+        r.field("app_type", &self.app_type);
+        r.field("version", &self.version);
+        r.num("load", self.load);
+        r.num("users", self.users as f64);
+        r.field("location", &self.location);
+        r.field("site", &self.site);
+        r.field("service", &self.service);
+    }
+}
+
 /// The datacenter-wide list.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dgspl {
@@ -78,8 +102,9 @@ impl Dgspl {
     /// Build from a collection of fresh DLSPs: every **running** service
     /// on every profiled host becomes an entry. `power_of` maps a model
     /// string + CPU count to total compute power.
-    pub fn from_dlsps<F>(dlsps: &[Dlsp], generated_at_secs: u64, power_of: F) -> Dgspl
+    pub fn from_dlsps<'a, I, F>(dlsps: I, generated_at_secs: u64, power_of: F) -> Dgspl
     where
+        I: IntoIterator<Item = &'a Dlsp>,
         F: Fn(&str, u32) -> f64,
     {
         let mut entries = Vec::new();
@@ -207,30 +232,43 @@ impl Dgspl {
 
     /// Serialise to the flat format.
     pub fn to_doc(&self) -> FlatDoc {
-        let meta = vec![FlatRecord::new().set_num("generated_at", self.generated_at_secs as f64)];
+        let mut meta = FlatRecord::new();
+        self.meta_fields(&mut meta);
         let entries = self
             .entries
             .iter()
             .map(|e| {
-                FlatRecord::new()
-                    .set("hostname", e.hostname.clone())
-                    .set("server_type", e.server_type.clone())
-                    .set("os", e.os.clone())
-                    .set_num("ram_gb", e.ram_gb as f64)
-                    .set_num("cpus", e.cpus as f64)
-                    .set_num("power", e.compute_power)
-                    .set("app_type", e.app_type.clone())
-                    .set("version", e.version.clone())
-                    .set_num("load", e.load)
-                    .set_num("users", e.users as f64)
-                    .set("location", e.location.clone())
-                    .set("site", e.site.clone())
-                    .set("service", e.service.clone())
+                let mut r = FlatRecord::new();
+                e.fields(&mut r);
+                r
             })
             .collect();
-        FlatDoc::new("dgspl", 1)
-            .with_section("meta", meta)
+        FlatDoc::new(DOC_KIND, DOC_VERSION)
+            .with_section("meta", vec![meta])
             .with_section("available", entries)
+    }
+
+    /// The lines of the list's file, rendered straight from the list:
+    /// byte-identical to `self.to_doc().to_lines()`.
+    pub fn to_lines(&self) -> Vec<String> {
+        let mut out = Vec::with_capacity(4 + self.entries.len());
+        out.push(doc_header(DOC_KIND, DOC_VERSION));
+        out.push(section_header("meta"));
+        let mut meta = LineWriter::default();
+        self.meta_fields(&mut meta);
+        out.push(meta.finish());
+        out.push(section_header("available"));
+        for e in &self.entries {
+            let mut line = LineWriter::default();
+            e.fields(&mut line);
+            out.push(line.finish());
+        }
+        out
+    }
+
+    /// The fields of the `meta` record.
+    fn meta_fields(&self, r: &mut impl FieldSink) {
+        r.num("generated_at", self.generated_at_secs as f64);
     }
 
     /// Parse from the flat format.

@@ -6,7 +6,12 @@
 //! one every wake-up; administration servers aggregate them into the
 //! global DGSPL.
 
-use crate::flat::{FlatDoc, FlatError, FlatRecord};
+use crate::flat::{
+    doc_header, section_header, FieldSink, FlatDoc, FlatError, FlatRecord, LineWriter,
+};
+
+const DOC_KIND: &str = "dlsp";
+const DOC_VERSION: u32 = 1;
 
 /// Snapshot of one service on the host.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,6 +27,19 @@ pub struct DlspService {
     pub status: String,
     /// Probe latency in ms, when the probe succeeded.
     pub latency_ms: Option<f64>,
+}
+
+impl DlspService {
+    /// The fields of one `services` record, in file order.
+    fn fields(&self, r: &mut impl FieldSink) {
+        r.field("name", &self.name);
+        r.field("type", &self.app_type);
+        r.field("version", &self.version);
+        r.field("status", &self.status);
+        if let Some(lat) = self.latency_ms {
+            r.num("latency_ms", lat);
+        }
+    }
 }
 
 /// A whole per-server profile.
@@ -78,37 +96,54 @@ impl std::error::Error for DlspError {}
 impl Dlsp {
     /// Serialise to the flat format.
     pub fn to_doc(&self) -> FlatDoc {
-        let host = vec![FlatRecord::new()
-            .set("hostname", self.hostname.clone())
-            .set_num("generated_at", self.generated_at_secs as f64)
-            .set("model", self.model.clone())
-            .set("os", self.os.clone())
-            .set_num("cpus", self.cpus as f64)
-            .set_num("ram_gb", self.ram_gb as f64)
-            .set_num("load", self.load_score)
-            .set_num("free_mem_mb", self.free_mem_mb)
-            .set_num("cpu_idle_pct", self.cpu_idle_pct)
-            .set_num("users", self.users as f64)
-            .set("location", self.location.clone())
-            .set("site", self.site.clone())];
+        let mut host = FlatRecord::new();
+        self.host_fields(&mut host);
         let services = self
             .services
             .iter()
             .map(|s| {
-                let mut r = FlatRecord::new()
-                    .set("name", s.name.clone())
-                    .set("type", s.app_type.clone())
-                    .set("version", s.version.clone())
-                    .set("status", s.status.clone());
-                if let Some(lat) = s.latency_ms {
-                    r = r.set_num("latency_ms", lat);
-                }
+                let mut r = FlatRecord::new();
+                s.fields(&mut r);
                 r
             })
             .collect();
-        FlatDoc::new("dlsp", 1)
-            .with_section("host", host)
+        FlatDoc::new(DOC_KIND, DOC_VERSION)
+            .with_section("host", vec![host])
             .with_section("services", services)
+    }
+
+    /// The lines of the profile's file, rendered straight from the
+    /// profile: byte-identical to `self.to_doc().to_lines()`.
+    pub fn to_lines(&self) -> Vec<String> {
+        let mut out = Vec::with_capacity(4 + self.services.len());
+        out.push(doc_header(DOC_KIND, DOC_VERSION));
+        out.push(section_header("host"));
+        let mut host = LineWriter::default();
+        self.host_fields(&mut host);
+        out.push(host.finish());
+        out.push(section_header("services"));
+        for s in &self.services {
+            let mut line = LineWriter::default();
+            s.fields(&mut line);
+            out.push(line.finish());
+        }
+        out
+    }
+
+    /// The fields of the `host` record, in file order.
+    fn host_fields(&self, r: &mut impl FieldSink) {
+        r.field("hostname", &self.hostname);
+        r.num("generated_at", self.generated_at_secs as f64);
+        r.field("model", &self.model);
+        r.field("os", &self.os);
+        r.num("cpus", self.cpus as f64);
+        r.num("ram_gb", self.ram_gb as f64);
+        r.num("load", self.load_score);
+        r.num("free_mem_mb", self.free_mem_mb);
+        r.num("cpu_idle_pct", self.cpu_idle_pct);
+        r.num("users", self.users as f64);
+        r.field("location", &self.location);
+        r.field("site", &self.site);
     }
 
     /// Parse from the flat format.

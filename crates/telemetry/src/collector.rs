@@ -14,9 +14,11 @@ use std::fmt::Write as _;
 
 use intelliqos_simkern::{CircularQueue, SimTime};
 
+use intelliqos_cluster::fs::SimFs;
 use intelliqos_cluster::server::Server;
 
 use intelliqos_ontology::constraint::{ConstraintStore, Violation};
+use intelliqos_ontology::flat::push_fixed;
 
 use crate::metrics::{MetricGroup, MetricSnapshot};
 
@@ -47,11 +49,11 @@ pub struct PerfCollector {
     /// Circular log length (lines) — "managed as a circular queue, the
     /// length of which was configurable".
     pub log_capacity: usize,
-    log: CircularQueue<String>,
-    /// Whether the on-disk file holds `log`; false after a failed write
-    /// (full or unmounted `/logs`), so the next write rewrites it whole.
-    synced: bool,
-    breaches: Vec<Breach>,
+    /// The window while the on-disk file lags behind it: from a failed
+    /// write (full or unmounted `/logs`) until the write that restores
+    /// it. While writes succeed the circular file is the only copy.
+    pending: Option<CircularQueue<String>>,
+    breach_count: u64,
 }
 
 impl PerfCollector {
@@ -67,9 +69,8 @@ impl PerfCollector {
             group,
             thresholds,
             log_capacity,
-            log: CircularQueue::new(log_capacity.max(1)),
-            synced: true,
-            breaches: Vec::new(),
+            pending: None,
+            breach_count: 0,
         }
     }
 
@@ -87,30 +88,46 @@ impl PerfCollector {
         server: &mut Server,
         now: SimTime,
     ) -> Vec<Breach> {
-        // One ASCII log line per sample: "ts k=v k=v …" — the flat
-        // format the paper's operators could grep.
-        let mut line = format!("t={}", now.as_secs());
-        for (name, value) in snapshot {
-            let _ = write!(line, " {name}={value:.3}");
-        }
-        self.log.push(line.clone());
         // The circular file holds the window, oldest → newest. A full
         // /logs filesystem makes this write fail — that is a real fault
         // the resource agent must notice; the collector itself soldiers
-        // on with its in-memory window and rewrites the file whole once
+        // on with an in-memory window and rewrites the file whole once
         // a write succeeds again.
-        let written = if self.synced {
-            server
-                .fs
-                .rotate_append(self.log_path(), line, self.log.capacity(), now)
-        } else {
-            let lines: Vec<String> = self.log.iter().cloned().collect();
-            server.fs.write(self.log_path(), lines, now)
-        };
-        self.synced = written.is_ok();
+        let capacity = self.log_capacity.max(1);
+        match &mut self.pending {
+            None => {
+                let line = log_line(snapshot, now);
+                if server
+                    .fs
+                    .rotate_append(self.log_path(), line, capacity, now)
+                    .is_err()
+                {
+                    // The failed write left the file as it was: the
+                    // window up to the previous sample. Nothing removes
+                    // `/logs/perf` files, and an unmounted mount keeps
+                    // them, so the stored lines are that window.
+                    let mut window = CircularQueue::new(capacity);
+                    if let Some(f) = server.fs.stored(&self.log_path()) {
+                        for l in &f.lines {
+                            window.push(l.clone());
+                        }
+                    }
+                    window.push(log_line(snapshot, now));
+                    self.pending = Some(window);
+                }
+            }
+            Some(window) => {
+                window.push(log_line(snapshot, now));
+                let lines: Vec<String> = window.iter().cloned().collect();
+                if server.fs.write(self.log_path(), lines, now).is_ok() {
+                    self.pending = None;
+                }
+            }
+        }
         // Threshold checks.
         let violations = self.thresholds.check(snapshot);
-        let breaches: Vec<Breach> = violations
+        self.breach_count += violations.len() as u64;
+        violations
             .into_iter()
             .map(|violation| Breach {
                 at: now,
@@ -118,20 +135,37 @@ impl PerfCollector {
                 group: self.group,
                 violation,
             })
-            .collect();
-        self.breaches.extend(breaches.iter().cloned());
-        breaches
+            .collect()
     }
 
-    /// All breaches raised so far.
-    pub fn breaches(&self) -> &[Breach] {
-        &self.breaches
+    /// Number of breaches raised so far.
+    pub fn breach_count(&self) -> u64 {
+        self.breach_count
     }
 
-    /// The retained log window (oldest → newest).
-    pub fn log_lines(&self) -> Vec<&str> {
-        self.log.iter().map(|s| s.as_str()).collect()
+    /// The retained log window (oldest → newest): the file on `fs`
+    /// (whatever its mount state) while it is in step, else the
+    /// in-memory window.
+    pub fn log_lines<'a>(&'a self, fs: &'a SimFs) -> Vec<&'a str> {
+        match &self.pending {
+            Some(window) => window.iter().map(String::as_str).collect(),
+            None => fs
+                .stored(&self.log_path())
+                .map(|f| f.lines.iter().map(String::as_str).collect())
+                .unwrap_or_default(),
+        }
     }
+}
+
+/// One ASCII log line per sample: "ts k=v k=v …" — the flat format the
+/// paper's operators could grep.
+fn log_line(snapshot: &MetricSnapshot, now: SimTime) -> String {
+    let mut line = format!("t={}", now.as_secs());
+    for (name, value) in snapshot {
+        let _ = write!(line, " {name}=");
+        push_fixed(&mut line, *value, 3);
+    }
+    line
 }
 
 #[cfg(test)]
@@ -188,7 +222,7 @@ mod tests {
                 SimTime::from_mins(i),
             );
         }
-        let lines = c.log_lines();
+        let lines = c.log_lines(&s.fs);
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("t=420")); // minute 7
         let f = s.fs.read("/logs/perf/db000/os").unwrap();
@@ -209,7 +243,7 @@ mod tests {
         assert_eq!(noisy.len(), 1);
         assert_eq!(noisy[0].violation.var, "run_queue");
         assert_eq!(noisy[0].hostname, "db000");
-        assert_eq!(c.breaches().len(), 1);
+        assert_eq!(c.breach_count(), 1);
     }
 
     #[test]
@@ -228,7 +262,7 @@ mod tests {
         // Breach detection still works from memory even though the
         // on-disk write failed.
         assert_eq!(breaches.len(), 1);
-        assert_eq!(c.log_lines().len(), 1);
+        assert_eq!(c.log_lines(&s.fs).len(), 1);
     }
 
     #[test]
@@ -238,7 +272,7 @@ mod tests {
         s.fs.add_mount("/logs", 400);
         let window_on_disk = |c: &PerfCollector, s: &Server| {
             let f = s.fs.read("/logs/perf/db000/os").unwrap();
-            assert_eq!(f.lines, c.log_lines());
+            assert_eq!(f.lines, c.log_lines(&s.fs));
             assert_eq!(s.fs.used_bytes("/logs"), Some(f.size_bytes() + filler(s)));
         };
         fn filler(s: &Server) -> u64 {
@@ -273,7 +307,7 @@ mod tests {
         }
         assert_ne!(
             s.fs.read("/logs/perf/db000/os").unwrap().lines,
-            c.log_lines()
+            c.log_lines(&s.fs)
         );
         // Unmounted: still failing.
         s.fs.set_mounted("/logs", false);
@@ -288,5 +322,70 @@ mod tests {
         let f = s.fs.read("/logs/perf/db000/os").unwrap();
         assert_eq!(f.created_at, SimTime::from_mins(1));
         assert_eq!(f.modified_at, SimTime::from_mins(16));
+    }
+
+    #[test]
+    fn randomized_episodes_match_a_reference_window() {
+        let (mut failures, mut recoveries) = (0, 0);
+        for seed in 0..48 {
+            let mut rng = intelliqos_simkern::SimRng::stream(seed, "collector-episode");
+            let cap = rng.uniform_u64(1, 6) as usize;
+            let mut c = collector(cap);
+            let mut s = server();
+            s.fs.add_mount("/logs", 700);
+            let mut model: CircularQueue<String> = CircularQueue::new(cap);
+            let mut mounted = true;
+            let filler = |s: &Server| s.fs.stored("/logs/filler").map_or(0, |f| f.size_bytes());
+            for t in 1..=80u64 {
+                match rng.uniform_u64(0, 9) {
+                    // /logs fills up.
+                    0 if mounted => {
+                        while s
+                            .fs
+                            .append("/logs/filler", "x".repeat(40), SimTime::ZERO)
+                            .is_ok()
+                        {}
+                        while s.fs.append("/logs/filler", "", SimTime::ZERO).is_ok() {}
+                    }
+                    // /logs is unmounted or mounted again.
+                    1 => {
+                        mounted = !mounted;
+                        s.fs.set_mounted("/logs", mounted);
+                    }
+                    // Rotation frees the filler (never the perf log).
+                    2 if mounted => {
+                        let _ = s.fs.remove("/logs/filler");
+                    }
+                    _ => {}
+                }
+                let scale = 10f64.powi(rng.uniform_u64(0, 7) as i32);
+                let value = rng.uniform(0.0, scale);
+                let old =
+                    s.fs.stored("/logs/perf/db000/os")
+                        .map_or(0, |f| f.size_bytes());
+                model.push(format!("t={} run_queue={value:.3}", t * 60));
+                let window: Vec<&str> = model.iter().map(String::as_str).collect();
+                let new: u64 = window.iter().map(|l| l.len() as u64 + 1).sum();
+                let fits = s.fs.used_bytes("/logs").unwrap() - old + new <= 700;
+                let was_pending = c.pending.is_some();
+                c.ingest(
+                    &snapshot(&[("run_queue", value)]),
+                    &mut s,
+                    SimTime::from_mins(t),
+                );
+                let written = c.pending.is_none();
+                assert_eq!(written, mounted && fits, "seed {seed} t {t}");
+                failures += u32::from(!written && !was_pending);
+                recoveries += u32::from(written && was_pending);
+                assert_eq!(c.log_lines(&s.fs), window, "seed {seed} t {t}");
+                if written {
+                    let f = s.fs.read("/logs/perf/db000/os").unwrap();
+                    assert_eq!(f.lines, window);
+                    assert_eq!(f.modified_at, SimTime::from_mins(t));
+                    assert_eq!(s.fs.used_bytes("/logs"), Some(new + filler(&s)));
+                }
+            }
+        }
+        assert!(failures > 20 && recoveries > 20, "{failures} {recoveries}");
     }
 }

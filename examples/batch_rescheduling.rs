@@ -88,7 +88,7 @@ fn run_policy(policy: &str) -> (u64, u64) {
         .values()
         .map(|s| (s.hostname.clone(), s.id))
         .collect();
-    let mut dgspl_sel = DgsplSelector::new(dgspl_of(&servers), host_ids, "db-oracle");
+    let mut dgspl_sel = DgsplSelector::new(host_ids, "db-oracle");
 
     // Twenty analysts slam the cluster with oversized mining runs.
     let mut now = SimTime::ZERO;

@@ -129,7 +129,7 @@ fn private_network_outage_reroutes_agent_traffic() {
     let t = w.now();
     // DLSPs keep flowing (over the public LAN) — the DGSPL stays fresh.
     w.run_until(t + SimDuration::from_hours(1));
-    let dgspl = w.admin.last_dgspl.as_ref().expect("DGSPL still generated");
+    let dgspl = w.dgspl().expect("DGSPL still generated");
     assert!(
         w.now().as_secs() - dgspl.generated_at_secs <= 2 * 15 * 60,
         "DGSPL stale during private-LAN outage"

@@ -119,6 +119,79 @@ fn dlsp_roundtrips() {
     });
 }
 
+/// A number for a numeric field: integral and fractional, negative,
+/// and at or above 1e15 (where integral values take four decimals).
+fn any_num(g: &mut Gen) -> f64 {
+    match g.usize_in(0, 6) {
+        0 => g.u64_in(0, 100_000) as f64,
+        1 => -(g.u64_in(0, 100_000) as f64),
+        2 => g.f64_in(-1e6, 1e6),
+        3 => g.f64_in(1e15, 1e18).round(),
+        4 => -1e15,
+        _ => g.f64_in(0.0, 1.0),
+    }
+}
+
+fn any_dlsp(g: &mut Gen) -> Dlsp {
+    Dlsp {
+        hostname: g.ascii_value(20),
+        generated_at_secs: g.u64_in(0, 1 << 62),
+        model: g.ascii_value(12),
+        os: g.ascii_value(12),
+        cpus: g.u32_in(0, u32::MAX),
+        ram_gb: g.u32_in(0, 4096),
+        load_score: any_num(g),
+        free_mem_mb: any_num(g),
+        cpu_idle_pct: any_num(g),
+        users: g.u32_in(0, 500),
+        location: g.ascii_value(12),
+        site: g.ascii_value(12),
+        services: (0..g.usize_in(0, 6))
+            .map(|_| DlspService {
+                name: g.ascii_value(20),
+                app_type: g.ascii_value(12),
+                version: g.ascii_value(8),
+                status: g.ascii_value(10),
+                // Some services carry no `latency_ms` field at all.
+                latency_ms: g.bool().then(|| any_num(g)),
+            })
+            .collect(),
+    }
+}
+
+#[test]
+fn dlsp_and_dgspl_lines_equal_their_doc_lines() {
+    cases(256, |g| {
+        let dlsp = any_dlsp(g);
+        assert_eq!(dlsp.to_lines(), dlsp.to_doc().to_lines());
+        let dgspl = Dgspl {
+            generated_at_secs: g.u64_in(0, 1 << 62),
+            entries: (0..g.usize_in(0, 8))
+                .map(|_| DgsplEntry {
+                    hostname: g.ascii_value(20),
+                    server_type: g.ascii_value(12),
+                    os: g.ascii_value(12),
+                    ram_gb: g.u32_in(0, u32::MAX),
+                    cpus: g.u32_in(0, 512),
+                    compute_power: any_num(g),
+                    app_type: g.ascii_value(12),
+                    version: g.ascii_value(8),
+                    load: any_num(g),
+                    users: g.u32_in(0, 500),
+                    location: g.ascii_value(12),
+                    site: g.ascii_value(12),
+                    service: g.ascii_value(20),
+                })
+                .collect(),
+        };
+        assert_eq!(dgspl.to_lines(), dgspl.to_doc().to_lines());
+        // Stored lines carry no spare capacity.
+        for line in dlsp.to_lines().iter().chain(&dgspl.to_lines()) {
+            assert_eq!(line.capacity(), line.len(), "{line:?}");
+        }
+    });
+}
+
 #[test]
 fn slkt_roundtrips() {
     cases(64, |g| {

@@ -68,7 +68,7 @@ fn dgspl_is_regenerated_and_fresh() {
     let cfg = small(5, ManagementMode::Intelliagents);
     let mut w = World::build(cfg);
     w.run_until(SimTime::from_days(1));
-    let dgspl = w.admin.last_dgspl.as_ref().expect("DGSPL generated");
+    let dgspl = w.dgspl().expect("DGSPL generated");
     // Regenerated within the last two periods (15 min each).
     let age = w.now().as_secs() - dgspl.generated_at_secs;
     assert!(age <= 2 * 15 * 60, "DGSPL age {age}s");
@@ -93,7 +93,12 @@ fn admin_shared_pool_holds_profiles_for_every_up_server() {
         w.admin.dlsp_count()
     );
     assert!(w.admin.shared_pool.list("/pool/dlsp").len() >= 10);
-    assert!(w.admin.shared_pool.exists("/pool/dgspl/current.dgspl"));
+    // The pooled list is the one the rescheduler selects from.
+    let pooled = w.admin.shared_pool.read("/pool/dgspl/current.dgspl");
+    assert_eq!(
+        pooled.unwrap().lines,
+        w.dgspl().expect("DGSPL generated").to_doc().to_lines()
+    );
 }
 
 #[test]
@@ -157,7 +162,7 @@ fn manual_mode_runs_no_agents() {
             server.hostname
         );
     }
-    assert!(w.admin.last_dgspl.is_none());
+    assert!(w.dgspl().is_none());
 }
 
 #[test]
