@@ -14,15 +14,14 @@
 //! With no arguments, checks every `*.json` under `results/evidence/`
 //! plus every trace spill directory (any subdirectory holding a
 //! `manifest.json`) — a truncated final chunk or a record-count
-//! mismatch is a failure. Taxonomy-era documents face two extra gates:
-//! an SLO report carrying `burn_scope` must have its per-scope columns
-//! close exactly (`all == service + client + abort` for every integer
-//! column, per service and fleet-wide), and a run export whose ledger
-//! is marked `"taxonomy": 1` must classify every incident with a
-//! closed-world `failure_class` whose `is_actionable` bit matches.
-//! Pre-taxonomy documents (no marker, no `burn_scope`) still validate
-//! under the original rules, so old evidence keeps passing unmodified. Directory arguments are validated as spill
-//! directories; a directory argument under which no spill
+//! mismatch is a failure. Two taxonomy gates apply to every document
+//! of their kind: an SLO report must declare a `burn_scope` and have
+//! its per-scope columns close exactly (`all == service + client +
+//! abort` for every integer column, per service and fleet-wide), and a
+//! run export's ledger must be marked `"taxonomy": 1` and classify
+//! every incident with a closed-world `failure_class` whose
+//! `is_actionable` bit matches. Directory arguments are validated as
+//! spill directories; a directory argument under which no spill
 //! `manifest.json` exists is itself a failure (never a silent fallback
 //! to the default sweep). `--evdb DIR` validates an indexed evidence
 //! store built by `evdb ingest`: segment headers and row counts against
@@ -252,11 +251,12 @@ fn check_scope_arithmetic(scopes: &JsonValue, who: &str, bad: &mut Vec<String>) 
     (col("all", "incidents"), col("all", "downtime_secs"))
 }
 
-/// Taxonomy checks on an SLO report that declares a `burn_scope`.
-/// Pre-taxonomy reports (no such key) skip this entirely.
+/// Taxonomy checks on an SLO report: a declared `burn_scope`, closed
+/// per-scope columns and per-row targets.
 fn check_slo_scopes(doc: &JsonValue) -> Vec<String> {
     let mut bad = Vec::new();
     let Some(scope) = doc.get("burn_scope").and_then(|v| v.as_str()) else {
+        bad.push("burn_scope missing".to_string());
         return bad;
     };
     if !SCOPES.contains(&scope) {
@@ -276,7 +276,7 @@ fn check_slo_scopes(doc: &JsonValue) -> Vec<String> {
                 bad.push("total_downtime_secs disagrees with scope_downtime_secs.all".to_string());
             }
         }
-        None => bad.push("burn_scope present but scope_downtime_secs missing".to_string()),
+        None => bad.push("scope_downtime_secs missing".to_string()),
     }
     for s in doc.get("services").and_then(|v| v.as_arr()).unwrap_or(&[]) {
         let name = s.get("service").and_then(|v| v.as_str()).unwrap_or("?");
@@ -287,7 +287,7 @@ fn check_slo_scopes(doc: &JsonValue) -> Vec<String> {
             )),
         }
         let Some(scopes) = s.get("scopes") else {
-            bad.push(format!("{name}: taxonomy-era row lacks a scopes object"));
+            bad.push(format!("{name}: row lacks a scopes object"));
             continue;
         };
         let (all_inc, all_down) = check_scope_arithmetic(scopes, name, &mut bad);
@@ -304,13 +304,13 @@ fn check_slo_scopes(doc: &JsonValue) -> Vec<String> {
     bad
 }
 
-/// Taxonomy checks on a run export's ledger: once the export is marked
-/// `"taxonomy": 1`, an unclassified or inconsistently classified
-/// incident is a failure. Unmarked (pre-taxonomy) ledgers pass — their
-/// classification is backfilled at evdb ingest instead.
+/// Taxonomy checks on a run export's ledger: it must be marked
+/// `"taxonomy": 1`, and an unclassified or inconsistently classified
+/// incident is a failure.
 fn check_ledger_taxonomy(ledger: &JsonValue) -> Vec<String> {
     let mut bad = Vec::new();
     if ledger.get("taxonomy").and_then(|v| v.as_u64()) != Some(1) {
+        bad.push("ledger lacks the \"taxonomy\": 1 marker".to_string());
         return bad;
     }
     for inc in ledger
@@ -332,9 +332,7 @@ fn check_ledger_taxonomy(ledger: &JsonValue) -> Vec<String> {
             Some(c) => bad.push(format!(
                 "incident {id}: failure_class {c:?} is not in the closed world"
             )),
-            None => bad.push(format!(
-                "incident {id}: unclassified in a taxonomy-marked export"
-            )),
+            None => bad.push(format!("incident {id}: unclassified")),
         }
     }
     bad
@@ -487,5 +485,43 @@ fn main() {
     );
     if failures > 0 {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn slo_doc(burn_scope: &str) -> JsonValue {
+        parse(&format!(
+            "{{\"report\": \"slo\", \"target\": 0.9999, \"fleet_availability\": 1.0, \
+             \"horizon_secs\": 86400, \"fleet_size\": 2, \"total_downtime_secs\": 0, \
+             {burn_scope}\"services\": [], \"alerts\": []}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn unmarked_ledger_fails() {
+        let marked = parse("{\"incidents\": [], \"taxonomy\": 1}").unwrap();
+        assert!(check_ledger_taxonomy(&marked).is_empty());
+        let unmarked = parse("{\"incidents\": []}").unwrap();
+        assert_eq!(
+            check_ledger_taxonomy(&unmarked),
+            ["ledger lacks the \"taxonomy\": 1 marker"]
+        );
+    }
+
+    #[test]
+    fn slo_report_without_burn_scope_fails() {
+        let scoped = slo_doc(
+            "\"burn_scope\": \"service\", \"scope_downtime_secs\": \
+             {\"all\": 0, \"service\": 0, \"client\": 0, \"abort\": 0}, ",
+        );
+        assert!(check_slo_report(&scoped).is_empty());
+        assert!(check_slo_scopes(&scoped).is_empty());
+        let unscoped = slo_doc("");
+        assert!(check_slo_report(&unscoped).is_empty());
+        assert_eq!(check_slo_scopes(&unscoped), ["burn_scope missing"]);
     }
 }

@@ -16,8 +16,8 @@
 //! * `--trace-file DIR` — flight-recorder mode: spill every trace event
 //!   to chunked JSONL under `DIR/<mode>/` (implies `--trace`; nothing
 //!   is evicted no matter how long the run);
-//! * `--trace-cap N` / `--trace-cap tag=N` — in-memory trace capacity,
-//!   globally or as a dedicated ring for one subsystem (repeatable);
+//! * `--trace-cap N` — in-memory trace capacity (ring size, or spill
+//!   tail), a positive event count;
 //! * `--trace-only tag[,tag...]` — record only the named subsystems.
 //! * `--evdb DIR` — after the evidence lands, rebuild the indexed
 //!   evidence store at `DIR` (`evdb ingest` inline), so queries and
@@ -98,8 +98,6 @@ pub struct HarnessOpts {
     pub trace_file: Option<String>,
     /// Override the in-memory trace capacity (ring size, or spill tail).
     pub trace_cap: Option<usize>,
-    /// Dedicated per-subsystem ring capacities (`--trace-cap tag=N`).
-    pub trace_caps: Vec<(Subsystem, usize)>,
     /// Record only these subsystems (`--trace-only tag[,tag...]`).
     pub trace_only: Option<Vec<Subsystem>>,
     /// Rebuild the indexed evidence store here after the run
@@ -111,8 +109,8 @@ pub struct HarnessOpts {
 
 impl HarnessOpts {
     /// Parse `--seed`, `--days`, `--full`, `--profile`, `--trace`,
-    /// `--trace-file DIR`, `--trace-cap N` / `--trace-cap tag=N`
-    /// (repeatable), `--trace-only tag[,tag...]`, `--evdb DIR`, and
+    /// `--trace-file DIR`, `--trace-cap N`, `--trace-only tag[,tag...]`,
+    /// `--evdb DIR`, and
     /// `--scope all|service|client` from `std::env::args`, with the
     /// given default horizon.
     pub fn parse(default_days: u64) -> HarnessOpts {
@@ -130,7 +128,6 @@ impl HarnessOpts {
             trace: false,
             trace_file: None,
             trace_cap: None,
-            trace_caps: Vec::new(),
             trace_only: None,
             evdb: None,
             scope: SloScope::Service,
@@ -161,20 +158,9 @@ impl HarnessOpts {
                 }
                 "--trace-cap" => {
                     if let Some(v) = args.get(i + 1) {
-                        match v.split_once('=') {
-                            Some((tag, n)) => {
-                                if let (Some(sub), Ok(cap)) =
-                                    (Subsystem::from_tag(tag), n.parse::<usize>())
-                                {
-                                    opts.trace_caps.push((sub, cap));
-                                } else {
-                                    eprintln!("ignoring bad --trace-cap value: {v}");
-                                }
-                            }
-                            None => match v.parse::<usize>() {
-                                Ok(cap) => opts.trace_cap = Some(cap),
-                                Err(_) => eprintln!("ignoring bad --trace-cap value: {v}"),
-                            },
+                        match v.parse::<usize>() {
+                            Ok(cap) if cap > 0 => opts.trace_cap = Some(cap),
+                            _ => eprintln!("ignoring bad --trace-cap value: {v} (want N > 0)"),
                         }
                     }
                     i += 1;
@@ -220,7 +206,6 @@ impl HarnessOpts {
         self.trace
             || self.trace_file.is_some()
             || self.trace_cap.is_some()
-            || !self.trace_caps.is_empty()
             || self.trace_only.is_some()
     }
 
@@ -236,7 +221,6 @@ impl HarnessOpts {
         if let Some(cap) = self.trace_cap {
             topts.capacity = cap;
         }
-        topts.per_subsystem = self.trace_caps.clone();
         topts.only = self.trace_only.clone();
         if let Some(dir) = &self.trace_file {
             let sub = format!("{mode:?}").to_lowercase();
@@ -480,8 +464,6 @@ mod tests {
             "out/spill",
             "--trace-cap",
             "1024",
-            "--trace-cap",
-            "fault=4096",
             "--trace-only",
             "fault,agent",
             "--evdb",
@@ -495,7 +477,6 @@ mod tests {
         assert!(opts.wants_evidence());
         assert_eq!(opts.trace_file.as_deref(), Some("out/spill"));
         assert_eq!(opts.trace_cap, Some(1024));
-        assert_eq!(opts.trace_caps, vec![(Subsystem::Fault, 4096)]);
         assert_eq!(
             opts.trace_only,
             Some(vec![Subsystem::Fault, Subsystem::Agent])
@@ -509,6 +490,13 @@ mod tests {
         assert!(m.ends_with("manualops"));
         assert!(a.ends_with("intelliagents"));
         assert_eq!(manual.capacity, 1024);
+        // A zero, unparsable or per-subsystem capacity is a bad value:
+        // ignored with a message, never a zero-sized ring that panics.
+        for bad in ["0", "many", "fault=4096"] {
+            let opts = HarnessOpts::parse_from(["--trace-cap", bad].map(String::from), 1);
+            assert_eq!(opts.trace_cap, None, "--trace-cap {bad} must not parse");
+            assert!(!opts.traced(), "--trace-cap {bad} must not imply tracing");
+        }
     }
 
     #[test]

@@ -118,12 +118,10 @@ impl std::fmt::Display for FailureClass {
     }
 }
 
-/// Classify a failure from the fields every ledger export has carried
-/// since PR 1 — the injected fault's Figure 2 label, the resolving
-/// actor (if closed), and whether humans were paged. Working over
-/// exported strings (not live enums) is what makes evidence backfill a
-/// pure, idempotent re-derivation: no re-simulation needed, and two
-/// ingests of the same old export classify identically.
+/// Classify a failure from fields the ledger export also carries —
+/// the injected fault's Figure 2 label, the resolving actor (if
+/// closed), and whether humans were paged — so a reader can re-derive
+/// any exported class from the same record.
 ///
 /// Precedence: operator/workload-induced categories are
 /// `client-workload` regardless of who repaired them; otherwise a
@@ -208,8 +206,7 @@ impl Incident {
     }
 
     /// This incident's failure class under the actionable-failure
-    /// taxonomy (derived, never stored — so live runs and evidence
-    /// backfill can never disagree).
+    /// taxonomy (derived, never stored).
     pub fn failure_class(&self) -> FailureClass {
         classify_failure(
             self.category.label(),

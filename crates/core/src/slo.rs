@@ -378,9 +378,8 @@ pub struct ServiceSloRow {
     pub budget_secs: f64,
     /// Budget minus charged downtime (negative = budget blown).
     pub budget_remaining_secs: f64,
-    /// Total repair time (`restored - detected` summed), seconds. The
-    /// integer MTTR numerator, kept so merged reports can recompute
-    /// MTTR exactly instead of averaging averages.
+    /// Total repair time (`restored - detected` summed), seconds: the
+    /// integer MTTR numerator.
     pub repair_secs: u64,
     /// Mean time to repair: mean of `restored - detected`, seconds.
     pub mttr_secs: f64,
@@ -392,10 +391,8 @@ pub struct ServiceSloRow {
 }
 
 impl ServiceSloRow {
-    /// Recompute every derived float from the integer numerators and
-    /// the row's own target — the one code path both `report` and
-    /// `merge` use, which is what makes merged reports bit-equal to a
-    /// single-tracker computation.
+    /// Compute every derived float from the integer numerators and the
+    /// row's own target.
     fn recompute(&mut self, horizon_secs: u64) {
         let horizon = horizon_secs.max(1) as f64;
         let budget = (1.0 - self.target) * horizon;
@@ -604,92 +601,6 @@ impl SloReport {
         }
         out.push_str("]\n}\n");
         out
-    }
-
-    /// Merge `other` into `self` — the fleet-assembly operation: rows
-    /// for the same service key combine as if one tracker had accounted
-    /// every incident. Downtime, repair time, incident and alert counts
-    /// add as integers per scope; availability, budgets, burn rates and
-    /// MTTR are then recomputed from the merged integers, so the result
-    /// is exactly the single-ledger computation, not an average of
-    /// averages. Disjoint services interleave in key order, fleet sizes
-    /// add, and the alert streams merge in firing order. The two
-    /// reports must describe the same SLO regime — identical default
-    /// target, window, burn threshold, burn scope, and horizon, plus
-    /// identical per-service targets wherever a key appears in both —
-    /// because the derived numbers are only comparable against one
-    /// budget line.
-    pub fn merge(&mut self, other: &SloReport) -> Result<(), String> {
-        if self.target.to_bits() != other.target.to_bits()
-            || self.window_secs != other.window_secs
-            || self.burn_threshold.to_bits() != other.burn_threshold.to_bits()
-        {
-            return Err(format!(
-                "SLO config mismatch: target {} vs {}, window {} vs {}, threshold {} vs {}",
-                self.target,
-                other.target,
-                self.window_secs,
-                other.window_secs,
-                self.burn_threshold,
-                other.burn_threshold
-            ));
-        }
-        if self.burn_scope != other.burn_scope {
-            return Err(format!(
-                "burn scope mismatch: {} vs {}",
-                self.burn_scope, other.burn_scope
-            ));
-        }
-        if self.horizon_secs != other.horizon_secs {
-            return Err(format!(
-                "horizon mismatch: {} vs {} seconds",
-                self.horizon_secs, other.horizon_secs
-            ));
-        }
-        for row in &other.services {
-            if let Ok(i) = self
-                .services
-                .binary_search_by(|r| r.service.cmp(&row.service))
-            {
-                if self.services[i].target.to_bits() != row.target.to_bits() {
-                    return Err(format!(
-                        "per-service target mismatch for {}: {} vs {}",
-                        row.service, self.services[i].target, row.target
-                    ));
-                }
-            }
-        }
-        self.fleet_size += other.fleet_size;
-        for row in &other.services {
-            match self
-                .services
-                .binary_search_by(|r| r.service.cmp(&row.service))
-            {
-                Ok(i) => {
-                    let r = &mut self.services[i];
-                    r.burn_alerts += row.burn_alerts;
-                    for (mine, theirs) in r.scopes.iter_mut().zip(&row.scopes) {
-                        debug_assert_eq!(mine.scope, theirs.scope);
-                        mine.incidents += theirs.incidents;
-                        mine.downtime_secs += theirs.downtime_secs;
-                        mine.repair_secs += theirs.repair_secs;
-                    }
-                }
-                Err(i) => self.services.insert(i, row.clone()),
-            }
-        }
-        let horizon_secs = self.horizon_secs;
-        for r in &mut self.services {
-            r.recompute(horizon_secs);
-        }
-        let mut alerts = Vec::with_capacity(self.alerts.len() + other.alerts.len());
-        alerts.extend(self.alerts.iter().cloned());
-        alerts.extend(other.alerts.iter().cloned());
-        alerts.sort_by(|a, b| {
-            (a.at, &a.service, a.incident.0).cmp(&(b.at, &b.service, b.incident.0))
-        });
-        self.alerts = alerts;
-        Ok(())
     }
 
     /// Short human summary for triage output.
@@ -914,169 +825,6 @@ mod tests {
         assert_eq!(depth, 0);
         assert!(r.render_summary().contains("1 over budget"));
         assert!(r.render_summary().contains("burn scope service"));
-    }
-
-    fn close_det(
-        t: &mut SloTracker,
-        svc: &str,
-        id: u64,
-        class: FailureClass,
-        onset_s: u64,
-        detected_s: u64,
-        restored_s: u64,
-    ) {
-        t.on_close(
-            svc,
-            IncidentId(id),
-            class,
-            SimTime::from_secs(onset_s),
-            SimTime::from_secs(detected_s),
-            SimTime::from_secs(restored_s),
-        );
-    }
-
-    #[test]
-    fn merged_report_equals_single_ledger_computation() {
-        // The same incident stream fed whole into one tracker, and
-        // split across two trackers whose reports are then merged: the
-        // per-service availability and MTTR must match exactly (bit
-        // equality, not epsilon) in every scope, because merge
-        // recomputes them from the summed integer numerators.
-        use FailureClass::{ClientWorkload as CW, ServiceFault as SF, TransientAbort as TA};
-        let incidents: [(&str, FailureClass, u64, u64, u64); 7] = [
-            ("db003", SF, 100, 130, 400),
-            ("web001", TA, 50, 55, 150),
-            ("db003", CW, 10_000, 10_200, 10_600),
-            ("lsf", SF, 2_000, 2_001, 2_047),
-            ("web001", SF, 40_000, 40_010, 41_000),
-            ("db003", TA, 80_000, 80_003, 80_900),
-            ("mail", CW, 5, 6, 7),
-        ];
-        let cfg = SloConfig {
-            service_targets: vec![("db003".to_string(), 0.99999)],
-            ..SloConfig::default()
-        };
-        let mut whole = SloTracker::new(cfg.clone(), 10);
-        let mut left = SloTracker::new(cfg.clone(), 6);
-        let mut right = SloTracker::new(cfg, 4);
-        for (i, &(svc, class, onset, det, rest)) in incidents.iter().enumerate() {
-            close_det(&mut whole, svc, i as u64, class, onset, det, rest);
-            let half = if i % 2 == 0 { &mut left } else { &mut right };
-            close_det(half, svc, i as u64, class, onset, det, rest);
-        }
-        let horizon = SimDuration::from_days(2);
-        let single = whole.report(horizon);
-        let mut merged = left.report(horizon);
-        merged.merge(&right.report(horizon)).unwrap();
-
-        assert_eq!(merged.fleet_size, single.fleet_size);
-        assert_eq!(merged.services.len(), single.services.len());
-        for (m, s) in merged.services.iter().zip(&single.services) {
-            assert_eq!(m.service, s.service);
-            assert_eq!(m.target.to_bits(), s.target.to_bits());
-            assert_eq!(m.incidents, s.incidents);
-            assert_eq!(m.downtime_secs, s.downtime_secs);
-            assert_eq!(m.repair_secs, s.repair_secs);
-            assert_eq!(
-                m.availability.to_bits(),
-                s.availability.to_bits(),
-                "availability for {} must merge exactly",
-                m.service
-            );
-            assert_eq!(
-                m.mttr_secs.to_bits(),
-                s.mttr_secs.to_bits(),
-                "MTTR for {} must merge exactly",
-                m.service
-            );
-            assert_eq!(m.budget_secs.to_bits(), s.budget_secs.to_bits());
-            assert_eq!(
-                m.budget_remaining_secs.to_bits(),
-                s.budget_remaining_secs.to_bits()
-            );
-            for (ms, ss) in m.scopes.iter().zip(&s.scopes) {
-                assert_eq!(ms.scope, ss.scope);
-                assert_eq!(ms.incidents, ss.incidents);
-                assert_eq!(ms.downtime_secs, ss.downtime_secs);
-                assert_eq!(ms.repair_secs, ss.repair_secs);
-                assert_eq!(
-                    ms.availability.to_bits(),
-                    ss.availability.to_bits(),
-                    "scope {} availability for {} must merge exactly",
-                    ms.scope,
-                    m.service
-                );
-                assert_eq!(ms.mttr_secs.to_bits(), ss.mttr_secs.to_bits());
-                assert_eq!(ms.burn_rate.to_bits(), ss.burn_rate.to_bits());
-            }
-        }
-        assert_eq!(merged.total_downtime_secs(), single.total_downtime_secs());
-        for scope in SloScope::ALL {
-            assert_eq!(
-                merged.scope_downtime_secs(scope),
-                single.scope_downtime_secs(scope)
-            );
-        }
-        assert_eq!(
-            merged.fleet_availability().to_bits(),
-            single.fleet_availability().to_bits()
-        );
-    }
-
-    #[test]
-    fn merge_interleaves_disjoint_services_in_key_order() {
-        let mut a = SloTracker::new(SloConfig::default(), 1);
-        close(&mut a, "web001", 0, 0, 10);
-        close(&mut a, "db003", 1, 0, 10);
-        let mut b = SloTracker::new(SloConfig::default(), 1);
-        close(&mut b, "lsf", 2, 0, 10);
-        close(&mut b, "admin", 3, 0, 10);
-        let horizon = SimDuration::from_days(1);
-        let mut merged = a.report(horizon);
-        merged.merge(&b.report(horizon)).unwrap();
-        let keys: Vec<&str> = merged.services.iter().map(|s| s.service.as_str()).collect();
-        assert_eq!(keys, ["admin", "db003", "lsf", "web001"]);
-        assert_eq!(merged.fleet_size, 2);
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_regimes() {
-        let t = SloTracker::new(SloConfig::default(), 1);
-        let mut a = t.report(SimDuration::from_days(1));
-        let b = t.report(SimDuration::from_days(2));
-        assert!(a.merge(&b).is_err(), "horizon mismatch must be rejected");
-        let other_cfg = SloConfig {
-            availability_target: 0.999,
-            ..SloConfig::default()
-        };
-        let c = SloTracker::new(other_cfg, 1).report(SimDuration::from_days(1));
-        assert!(a.merge(&c).is_err(), "target mismatch must be rejected");
-        let scoped_cfg = SloConfig {
-            burn_scope: SloScope::All,
-            ..SloConfig::default()
-        };
-        let d = SloTracker::new(scoped_cfg, 1).report(SimDuration::from_days(1));
-        assert!(a.merge(&d).is_err(), "scope mismatch must be rejected");
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_per_service_targets() {
-        let tight = SloConfig {
-            service_targets: vec![("db003".to_string(), 0.99999)],
-            ..SloConfig::default()
-        };
-        let mut a_t = SloTracker::new(tight, 1);
-        close(&mut a_t, "db003", 0, 0, 10);
-        let mut b_t = SloTracker::new(SloConfig::default(), 1);
-        close(&mut b_t, "db003", 1, 0, 10);
-        let horizon = SimDuration::from_days(1);
-        let mut a = a_t.report(horizon);
-        let b = b_t.report(horizon);
-        let err = a.merge(&b).unwrap_err();
-        assert!(
-            err.contains("per-service target mismatch"),
-            "rows for one key must share a budget line: {err}"
-        );
     }
 
     #[test]

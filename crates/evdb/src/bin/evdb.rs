@@ -1,7 +1,7 @@
 //! `evdb` — ingest, query, and diff the evidence store.
 //!
 //! ```text
-//! evdb ingest [EVIDENCE_DIR] [--store DIR] [--full]
+//! evdb ingest [EVIDENCE_DIR] [--store DIR]
 //! evdb query  [--store DIR | --scan EVIDENCE_DIR] [--kind inc|trc|slo]
 //!             [--run R] [--service S] [--category C] [--subsystem S]
 //!             [--class C] [--actionable true|false]
@@ -10,10 +10,7 @@
 //! ```
 //!
 //! `ingest` deterministically rebuilds the store from the evidence
-//! directory — incrementally by default (runs whose evidence files all
-//! match the previous manifest by path and byte size are copied
-//! forward instead of re-parsed; the store bytes come out identical
-//! either way), or from scratch with `--full`. `query` answers from
+//! directory, re-parsing every file. `query` answers from
 //! the index by default; `--scan` answers from the linear reference
 //! scan instead — the two print byte-identical lines for the same
 //! filter, which CI checks. `--category` takes an incident category
@@ -37,7 +34,7 @@ const DEFAULT_STORE: &str = "results/evdb";
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: evdb ingest [EVIDENCE_DIR] [--store DIR] [--full]\n       \
+        "usage: evdb ingest [EVIDENCE_DIR] [--store DIR]\n       \
          evdb query [--store DIR | --scan EVIDENCE_DIR] [--kind inc|trc|slo] [--run R]\n              \
          [--service S] [--category C] [--subsystem S] [--class C] [--actionable true|false]\n              \
          [--corr N] [--window T0..T1] [--stats]\n       \
@@ -64,7 +61,6 @@ fn main() -> ExitCode {
 fn cmd_ingest(args: &[String]) -> ExitCode {
     let mut evidence = PathBuf::from(DEFAULT_EVIDENCE);
     let mut store = PathBuf::from(DEFAULT_STORE);
-    let mut full = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -72,29 +68,21 @@ fn cmd_ingest(args: &[String]) -> ExitCode {
                 Some(dir) => store = PathBuf::from(dir),
                 None => return fail("--store needs a directory"),
             },
-            "--full" => full = true,
             flag if flag.starts_with("--") => return usage(),
             dir => evidence = PathBuf::from(dir),
         }
     }
-    let built = if full {
-        Store::build(&evidence, &store)
-    } else {
-        Store::build_incremental(&evidence, &store)
-    };
-    match built {
+    match Store::build(&evidence, &store) {
         Ok(report) => {
             for w in &report.warnings {
                 eprintln!("evdb: warning: {w}");
             }
             println!(
                 "evdb: ingested {} records from {} source file(s) into {} \
-                 ({} parsed, {} reused, {} segment(s), {} index file(s), {} warning(s))",
+                 ({} segment(s), {} index file(s), {} warning(s))",
                 report.records,
                 report.sources.len(),
                 store.display(),
-                report.sources_parsed,
-                report.sources_reused,
                 report.segments,
                 report.index_files,
                 report.warnings.len()

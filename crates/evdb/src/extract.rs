@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use intelliqos_core::downtime::{classify_failure, FailureClass};
+use intelliqos_core::downtime::FailureClass;
 use intelliqos_core::jsonv::{self, JsonValue};
 use intelliqos_simkern::trace::read_spill_chunks;
 
@@ -36,9 +36,6 @@ pub struct SourceFile {
     pub rel: String,
     /// File size in bytes.
     pub bytes: u64,
-    /// Run label the file's records carry — the key incremental
-    /// ingest reuses previous segments under.
-    pub run: String,
 }
 
 /// Everything an evidence walk produced.
@@ -59,194 +56,6 @@ pub fn extract_dir(root: &Path) -> Result<Extraction, String> {
     Ok(ex)
 }
 
-/// What an incremental walk produced: the same source list a full walk
-/// would record, fresh records for changed or new evidence only, and
-/// the run labels whose records the caller must copy forward from the
-/// previous store.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalExtraction {
-    /// Fresh records plus the complete provenance list, in walk order.
-    pub extraction: Extraction,
-    /// Runs whose evidence was untouched — their records come from the
-    /// previous store's segments, not from re-parsing. Sorted, deduped.
-    pub reused_runs: Vec<String>,
-    /// Evidence files actually re-parsed.
-    pub sources_parsed: u64,
-    /// Evidence files skipped because path and byte size matched the
-    /// previous manifest.
-    pub sources_reused: u64,
-}
-
-/// One ingestion unit of the walk: the granularity at which evidence
-/// is parsed, and therefore at which re-parsing can be skipped.
-enum Unit {
-    /// A spill directory — its manifest plus every chunk parse as one.
-    Spill {
-        dir: PathBuf,
-        files: Vec<SourceFile>,
-    },
-    /// One candidate JSON document (run export, SLO report, or a
-    /// bystander the extractor will ignore after parsing).
-    Json {
-        path: PathBuf,
-        rel: String,
-        bytes: u64,
-    },
-}
-
-/// Mirror [`walk`]'s traversal exactly, but collect units instead of
-/// parsing — the cheap planning pass of an incremental ingest.
-fn collect_units(root: &Path, dir: &Path, units: &mut Vec<Unit>) -> Result<(), String> {
-    if is_spill_dir(dir) {
-        let run = rel_path(root, dir);
-        let mut files = Vec::new();
-        let stat = |path: &Path| SourceFile {
-            rel: rel_path(root, path),
-            bytes: std::fs::metadata(path).map(|m| m.len()).unwrap_or(0),
-            run: run.clone(),
-        };
-        files.push(stat(&dir.join("manifest.json")));
-        for chunk in spill_chunk_paths(dir) {
-            files.push(stat(&chunk));
-        }
-        units.push(Unit::Spill {
-            dir: dir.to_path_buf(),
-            files,
-        });
-        return Ok(());
-    }
-    let entries = std::fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
-    let mut paths: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    paths.sort();
-    for path in paths {
-        if path.is_dir() {
-            collect_units(root, &path, units)?;
-        } else if path.extension().and_then(|e| e.to_str()) == Some("json") {
-            let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            units.push(Unit::Json {
-                rel: rel_path(root, &path),
-                bytes,
-                path,
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Walk `root` against the previous manifest's source list, re-parsing
-/// only evidence that changed. A run's records are reused only when
-/// *every* file it fed the previous ingest is still present with the
-/// same byte size and nothing that fed it was removed — otherwise the
-/// whole run re-parses, because extraction granularity is the unit
-/// (a spill directory, a run export, an SLO report), not the record.
-pub fn extract_dir_incremental(
-    root: &Path,
-    old_sources: &[SourceFile],
-) -> Result<IncrementalExtraction, String> {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    let mut units = Vec::new();
-    collect_units(root, root, &mut units)?;
-
-    let old_by_rel: BTreeMap<&str, &SourceFile> =
-        old_sources.iter().map(|s| (s.rel.as_str(), s)).collect();
-    let mut old_run_counts: BTreeMap<String, u64> = BTreeMap::new();
-    for s in old_sources {
-        *old_run_counts.entry(s.run.clone()).or_default() += 1;
-    }
-
-    // A run stays reusable only while every unit that touches it is
-    // byte-identical to the previous ingest and every previous source
-    // of the run is claimed by some unchanged unit.
-    let mut claimed: BTreeMap<String, u64> = BTreeMap::new();
-    let mut disqualified: BTreeSet<String> = BTreeSet::new();
-    let unchanged = |f: &SourceFile| {
-        old_by_rel
-            .get(f.rel.as_str())
-            .is_some_and(|old| old.bytes == f.bytes && old.run == f.run)
-    };
-    for unit in &units {
-        match unit {
-            Unit::Spill { files, .. } => {
-                let run = files[0].run.clone();
-                if files.iter().all(unchanged) {
-                    *claimed.entry(run).or_default() += files.len() as u64;
-                } else {
-                    disqualified.insert(run);
-                }
-            }
-            Unit::Json { rel, bytes, .. } => {
-                if let Some(old) = old_by_rel.get(rel.as_str()) {
-                    if old.bytes == *bytes {
-                        *claimed.entry(old.run.clone()).or_default() += 1;
-                    } else {
-                        disqualified.insert(old.run.clone());
-                    }
-                }
-                // A file the previous ingest never recorded parses
-                // fresh below; it cannot disqualify anything here.
-            }
-        }
-    }
-    let skippable = |run: &str| {
-        !run.is_empty()
-            && !disqualified.contains(run)
-            && old_run_counts.get(run).copied().unwrap_or(0) > 0
-            && claimed.get(run).copied().unwrap_or(0) == old_run_counts[run]
-    };
-
-    let mut out = IncrementalExtraction::default();
-    let ex = &mut out.extraction;
-    for unit in &units {
-        match unit {
-            Unit::Spill { dir, files } => {
-                let run = files[0].run.clone();
-                if skippable(&run) {
-                    ex.sources.extend(files.iter().cloned());
-                    out.sources_reused += files.len() as u64;
-                    out.reused_runs.push(run);
-                } else {
-                    let before = ex.sources.len();
-                    extract_spill(root, dir, ex);
-                    out.sources_parsed += (ex.sources.len() - before) as u64;
-                }
-            }
-            Unit::Json { path, rel, bytes } => {
-                let old = old_by_rel.get(rel.as_str());
-                let reusable = old.is_some_and(|o| o.bytes == *bytes && skippable(&o.run));
-                if let (Some(old), true) = (old, reusable) {
-                    ex.sources.push(SourceFile {
-                        rel: rel.clone(),
-                        bytes: *bytes,
-                        run: old.run.clone(),
-                    });
-                    out.sources_reused += 1;
-                    out.reused_runs.push(old.run.clone());
-                } else {
-                    let before = ex.sources.len();
-                    extract_json(root, path, ex);
-                    out.sources_parsed += (ex.sources.len() - before) as u64;
-                }
-            }
-        }
-    }
-    out.reused_runs.sort();
-    out.reused_runs.dedup();
-
-    // A freshly parsed file may label its records with a run the plan
-    // chose to reuse (a new file whose stem collides with an existing
-    // run). Merging would duplicate or misorder records, so report the
-    // collision and let the caller fall back to a full walk.
-    if ex.records.iter().any(|r| {
-        out.reused_runs
-            .binary_search_by(|p| p.as_str().cmp(r.run()))
-            .is_ok()
-    }) {
-        return Err("incremental plan collided with a reused run".to_string());
-    }
-    Ok(out)
-}
-
 fn rel_path(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.components()
@@ -255,12 +64,11 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-fn push_source(root: &Path, path: &Path, run: &str, ex: &mut Extraction) {
+fn push_source(root: &Path, path: &Path, ex: &mut Extraction) {
     let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
     ex.sources.push(SourceFile {
         rel: rel_path(root, path),
         bytes,
-        run: run.to_string(),
     });
 }
 
@@ -315,12 +123,12 @@ fn spill_chunk_paths(dir: &Path) -> Vec<PathBuf> {
 
 fn extract_spill(root: &Path, dir: &Path, ex: &mut Extraction) {
     let run = rel_path(root, dir);
-    push_source(root, &dir.join("manifest.json"), &run, ex);
+    push_source(root, &dir.join("manifest.json"), ex);
     match read_spill_chunks(dir) {
         Ok((records, warnings)) => {
             // Charge every chunk file as a source, in the read order.
             for chunk in spill_chunk_paths(dir) {
-                push_source(root, &chunk, &run, ex);
+                push_source(root, &chunk, ex);
             }
             ex.warnings.extend(warnings);
             ex.records.extend(records.into_iter().map(|r| {
@@ -363,10 +171,10 @@ fn extract_json(root: &Path, path: &Path, ex: &mut Extraction) {
         .to_string();
     if doc.get("report").and_then(|v| v.as_str()) == Some("slo") {
         let run = stem.strip_suffix("_slo").unwrap_or(&stem).to_string();
-        push_source(root, path, &run, ex);
+        push_source(root, path, ex);
         extract_slo(&doc, &run, path, ex);
     } else if doc.get("ledger").is_some() {
-        push_source(root, path, &stem, ex);
+        push_source(root, path, ex);
         extract_run_export(&doc, &stem, path, ex);
     }
 }
@@ -377,14 +185,17 @@ fn extract_slo(doc: &JsonValue, run: &str, path: &Path, ex: &mut Extraction) {
             .push(format!("{}: slo report without services", path.display()));
         return;
     };
-    // Pre-taxonomy reports carry one document-level target and no
-    // per-row targets; the backfill lets their rows inherit it, so a
-    // re-ingest classifies old evidence without mutating the files.
-    let doc_target = doc.get("target").and_then(|v| v.as_f64()).unwrap_or(0.9999);
     for (i, s) in services.iter().enumerate() {
         let Some(service) = s.get("service").and_then(|v| v.as_str()) else {
             ex.warnings
                 .push(format!("{}: services[{i}] without a name", path.display()));
+            continue;
+        };
+        let Some(target) = s.get("target").and_then(|v| v.as_f64()) else {
+            ex.warnings.push(format!(
+                "{}: services[{i}] without a target",
+                path.display()
+            ));
             continue;
         };
         ex.records.push(Rec::Slo(SloRec {
@@ -398,10 +209,7 @@ fn extract_slo(doc: &JsonValue, run: &str, path: &Path, ex: &mut Extraction) {
                 .unwrap_or(0.0),
             mttr_secs: s.get("mttr_secs").and_then(|v| v.as_f64()).unwrap_or(0.0),
             burn_alerts: s.get("burn_alerts").and_then(|v| v.as_u64()).unwrap_or(0),
-            target: s
-                .get("target")
-                .and_then(|v| v.as_f64())
-                .unwrap_or(doc_target),
+            target,
         }));
     }
 }
@@ -463,126 +271,72 @@ fn extract_incident(inc: &JsonValue, run: &str) -> Result<IncidentRec, String> {
     }
     let opt_str =
         |key: &str| -> Option<String> { inc.get(key).and_then(|v| v.as_str()).map(String::from) };
-    let category = opt_str("category").unwrap_or_default();
-    let actor = opt_str("actor");
-    let escalated = inc
-        .get("escalated")
-        .and_then(|v| v.as_bool())
-        .unwrap_or(false);
-    // Taxonomy backfill: a post-taxonomy export carries the class; a
-    // pre-taxonomy export (or an unknown label) re-derives it with the
-    // ledger's own classifier over the exported fields. Deterministic
-    // either way, so re-ingesting old evidence is idempotent and the
-    // old files never need rewriting.
-    let failure_class = opt_str("failure_class")
-        .as_deref()
-        .and_then(FailureClass::parse)
-        .unwrap_or_else(|| classify_failure(&category, actor.as_deref(), escalated));
+    let failure_class = opt_str("failure_class").ok_or("incident without failure_class")?;
+    FailureClass::parse(&failure_class)
+        .ok_or_else(|| format!("incident with unknown failure_class {failure_class:?}"))?;
     let is_actionable = inc
         .get("is_actionable")
         .and_then(|v| v.as_bool())
-        .unwrap_or_else(|| failure_class.is_actionable());
+        .ok_or("incident without is_actionable")?;
     Ok(IncidentRec {
         run: run.to_string(),
         id,
-        category,
+        category: opt_str("category").unwrap_or_default(),
         service: opt_str("service").unwrap_or_default(),
         description: opt_str("description").unwrap_or_default(),
         onset: inc.get("onset").and_then(|v| v.as_u64()).unwrap_or(0),
         detected: inc.get("detected").and_then(|v| v.as_u64()),
         diagnosed: inc.get("diagnosed").and_then(|v| v.as_u64()),
         restored: inc.get("restored").and_then(|v| v.as_u64()),
-        actor,
+        actor: opt_str("actor"),
         action: opt_str("action"),
-        escalated,
-        failure_class: failure_class.label().to_string(),
+        escalated: inc
+            .get("escalated")
+            .and_then(|v| v.as_bool())
+            .unwrap_or(false),
+        failure_class,
         is_actionable,
         attempts,
     })
 }
 
 fn extract_trace_event(ev: &JsonValue, run: &str) -> Result<TraceRec, String> {
-    match ev {
-        // Current exports embed the spill-JSONL object per event.
-        JsonValue::Obj(_) => Ok(TraceRec {
-            run: run.to_string(),
-            seq: ev
-                .get("seq")
-                .and_then(|v| v.as_u64())
-                .ok_or("event without seq")?,
-            at: ev
-                .get("at")
-                .and_then(|v| v.as_u64())
-                .ok_or("event without at")?,
-            subsystem: ev
-                .get("subsystem")
-                .and_then(|v| v.as_str())
-                .ok_or("event without subsystem")?
-                .to_string(),
-            code: ev
-                .get("code")
-                .and_then(|v| v.as_str())
-                .ok_or("event without code")?
-                .to_string(),
-            corr: ev.get("corr").and_then(|v| v.as_u64()),
-            detail: ev
-                .get("detail")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_string(),
-        }),
-        // Older exports rendered the pipe line; accept it (no corr).
-        JsonValue::Str(line) => parse_pipe_event(line, run),
-        _ => Err("event is neither object nor string".to_string()),
-    }
-}
-
-/// Parse the legacy `seq|at|subsystem|code|detail` render. Only the
-/// detail column is escaped (`\p`, `\\`, `\n`, `\r`), so a plain split
-/// yields exactly five columns.
-fn parse_pipe_event(line: &str, run: &str) -> Result<TraceRec, String> {
-    let f: Vec<&str> = line.split('|').collect();
-    if f.len() != 5 {
-        return Err(format!("pipe event has {} columns, want 5", f.len()));
-    }
-    let mut detail = String::with_capacity(f[4].len());
-    let mut chars = f[4].chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            detail.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('p') => detail.push('|'),
-            Some('\\') => detail.push('\\'),
-            Some('n') => detail.push('\n'),
-            Some('r') => detail.push('\r'),
-            Some(other) => return Err(format!("bad detail escape \\{other}")),
-            None => return Err("dangling detail escape".to_string()),
-        }
+    // Run exports embed the spill-JSONL object per event.
+    if !matches!(ev, JsonValue::Obj(_)) {
+        return Err("event is not an object".to_string());
     }
     Ok(TraceRec {
         run: run.to_string(),
-        seq: f[0].parse().map_err(|e| format!("bad seq: {e}"))?,
-        at: f[1].parse().map_err(|e| format!("bad at: {e}"))?,
-        subsystem: f[2].to_string(),
-        code: f[3].to_string(),
-        corr: None,
-        detail,
+        seq: ev
+            .get("seq")
+            .and_then(|v| v.as_u64())
+            .ok_or("event without seq")?,
+        at: ev
+            .get("at")
+            .and_then(|v| v.as_u64())
+            .ok_or("event without at")?,
+        subsystem: ev
+            .get("subsystem")
+            .and_then(|v| v.as_str())
+            .ok_or("event without subsystem")?
+            .to_string(),
+        code: ev
+            .get("code")
+            .and_then(|v| v.as_str())
+            .ok_or("event without code")?
+            .to_string(),
+        corr: ev.get("corr").and_then(|v| v.as_u64()),
+        detail: ev
+            .get("detail")
+            .and_then(|v| v.as_str())
+            .unwrap_or("")
+            .to_string(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pipe_event_unescapes_detail() {
-        let rec = parse_pipe_event("3|60|admin|dgspl|a\\pb\\\\c\\nd\\re", "r").unwrap();
-        assert_eq!(rec.detail, "a|b\\c\nd\re");
-        assert_eq!(rec.subsystem, "admin");
-        assert_eq!(rec.corr, None);
-    }
 
     #[test]
     fn object_event_carries_corr() {

@@ -5,10 +5,8 @@
 //! typed, indexed, cross-run-queryable record.
 //!
 //! The flat evidence layout is the source of truth; this crate is a
-//! deterministic *index over it*, rebuilt by `evdb ingest`
-//! (incrementally by default: runs whose evidence files still match
-//! the manifest by path and byte size are copied forward, not
-//! re-parsed). Two backends answer every query:
+//! deterministic *index over it*, rebuilt in full by `evdb ingest`.
+//! Two backends answer every query:
 //!
 //! * [`store`] — segments plus secondary indexes (service, category,
 //!   subsystem, correlation id, run label, hour-bucketed time), read
@@ -36,9 +34,7 @@ pub mod store;
 pub mod timeline;
 
 pub use diff::diff_runs;
-pub use extract::{
-    extract_dir, extract_dir_incremental, Extraction, IncrementalExtraction, SourceFile,
-};
+pub use extract::{extract_dir, Extraction, SourceFile};
 pub use model::{AttemptRec, IncidentRec, Kind, Rec, SloRec, TraceRec};
 pub use query::Query;
 pub use scan::{scan_query, ScanStats};

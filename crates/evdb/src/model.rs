@@ -92,9 +92,7 @@ pub struct IncidentRec {
     /// Whether the incident escalated to a human.
     pub escalated: bool,
     /// Failure-class label (`service-fault`, `client-workload`,
-    /// `transient-abort`). Pre-taxonomy exports gain it at extraction
-    /// via the same classifier the ledger uses, so backfill is pure
-    /// deterministic re-derivation.
+    /// `transient-abort`), as the run export recorded it.
     pub failure_class: String,
     /// Whether the incident counts against the error budget by default.
     pub is_actionable: bool,

@@ -20,20 +20,15 @@
 //!   re-opened the raw evidence.
 //!
 //! Ingest is deterministic: same evidence in, same bytes out, and
-//! re-ingesting is idempotent. [`Store::build`] re-parses everything;
-//! [`Store::build_incremental`] skips re-extracting every run whose
-//! evidence files all match the previous manifest by path and byte
-//! size, copying their records forward from the old segments — the
-//! resulting store bytes are identical either way (the equivalence
-//! test holds them to it), only the `ingest_report.json` cost counters
-//! differ.
+//! re-ingesting is idempotent. [`Store::build`] is the only ingest
+//! path; it re-parses everything.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use intelliqos_core::jsonv;
 
-use crate::extract::{extract_dir, extract_dir_incremental, Extraction, SourceFile};
+use crate::extract::{extract_dir, SourceFile};
 use crate::model::{escape, unescape, Kind, Rec};
 use crate::query::Query;
 
@@ -48,10 +43,7 @@ pub const INGEST_REPORT: &str = "ingest_report.json";
 pub const QUERY_REPORT: &str = "query_report.json";
 
 // Version 2 added the failure-taxonomy columns (incident
-// `failure_class`/`is_actionable`, SLO per-row `target`). A version-1
-// store fails to load under the new parser, which makes
-// `build_incremental` fall back to a full rebuild — old evidence gains
-// classification on re-ingest without any migration step.
+// `failure_class`/`is_actionable`, SLO per-row `target`).
 const SEG_VERSION: u64 = 2;
 
 fn index_fields(kind: Kind) -> &'static [&'static str] {
@@ -137,11 +129,6 @@ pub struct IngestReport {
     pub index_files: u64,
     /// Evidence files read.
     pub sources: Vec<SourceFile>,
-    /// Evidence files actually re-parsed this ingest.
-    pub sources_parsed: u64,
-    /// Evidence files skipped by the incremental path because path and
-    /// byte size matched the previous manifest.
-    pub sources_reused: u64,
     /// Extraction warnings (truncated chunks, malformed rows).
     pub warnings: Vec<String>,
 }
@@ -188,61 +175,6 @@ impl Store {
     /// every evidence file.
     pub fn build(evidence_dir: &Path, store_dir: &Path) -> Result<IngestReport, String> {
         let ex = extract_dir(evidence_dir)?;
-        let parsed = ex.sources.len() as u64;
-        Self::finish_build(evidence_dir, store_dir, ex, parsed, 0)
-    }
-
-    /// Build the store, reusing the previous build's records for every
-    /// run whose evidence files all match the old manifest by path and
-    /// byte size. Falls back to a full [`Store::build`] when there is
-    /// no usable previous store (or its manifest predates run-labelled
-    /// sources), when it was built from a different evidence
-    /// directory, or when the incremental plan cannot be merged safely.
-    /// Either way the resulting store bytes are identical to a full
-    /// rebuild, except for the cost counters in `ingest_report.json`.
-    pub fn build_incremental(
-        evidence_dir: &Path,
-        store_dir: &Path,
-    ) -> Result<IngestReport, String> {
-        let old = match Store::open(store_dir) {
-            Ok(s) => s,
-            Err(_) => return Self::build(evidence_dir, store_dir),
-        };
-        if old.evidence_dir != evidence_dir.display().to_string()
-            || old.sources.iter().any(|s| s.run.is_empty())
-        {
-            return Self::build(evidence_dir, store_dir);
-        }
-        let mut inc = match extract_dir_incremental(evidence_dir, &old.sources) {
-            Ok(inc) => inc,
-            Err(_) => return Self::build(evidence_dir, store_dir),
-        };
-        // Copy reused runs forward before the rebuild wipes the old
-        // segments. Loading can still fail (a segment deleted from
-        // under the manifest) — fall back to the full walk then, too.
-        let mut stats = QueryStats::default();
-        for (seg_id, seg) in old.segments.iter().enumerate() {
-            if inc.reused_runs.binary_search(&seg.run).is_err() {
-                continue;
-            }
-            match old.load_segment(seg_id as u64, None, &mut stats) {
-                Ok(rows) => inc.extraction.records.extend(rows),
-                Err(_) => return Self::build(evidence_dir, store_dir),
-            }
-        }
-        let (parsed, reused) = (inc.sources_parsed, inc.sources_reused);
-        Self::finish_build(evidence_dir, store_dir, inc.extraction, parsed, reused)
-    }
-
-    /// The shared back half of both build paths: sort, segment, index,
-    /// and write the manifest and ingest report.
-    fn finish_build(
-        evidence_dir: &Path,
-        store_dir: &Path,
-        ex: Extraction,
-        sources_parsed: u64,
-        sources_reused: u64,
-    ) -> Result<IngestReport, String> {
         let mut records = ex.records;
         records.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
 
@@ -327,8 +259,6 @@ impl Store {
             segments: segments.len() as u64,
             index_files: index_files.len() as u64,
             sources: ex.sources,
-            sources_parsed,
-            sources_reused,
             warnings: ex.warnings,
         };
         write_ingest_report(store_dir, &report)?;
@@ -393,13 +323,6 @@ impl Store {
                 Some(SourceFile {
                     rel: s.get("path").and_then(|v| v.as_str())?.to_string(),
                     bytes: s.get("bytes").and_then(|v| v.as_u64())?,
-                    // Absent in pre-incremental manifests; the empty
-                    // label makes `build_incremental` rebuild in full.
-                    run: s
-                        .get("run")
-                        .and_then(|v| v.as_str())
-                        .unwrap_or("")
-                        .to_string(),
                 })
             })
             .collect();
@@ -651,7 +574,7 @@ impl Store {
     pub fn validate(&self) -> Vec<String> {
         let mut findings = Vec::new();
         let mut total_rows = 0u64;
-        for (seg_id, seg) in self.segments.iter().enumerate() {
+        for seg in &self.segments {
             total_rows += seg.rows;
             let path = self.dir.join(&seg.file);
             let text = match std::fs::read_to_string(&path) {
@@ -687,7 +610,6 @@ impl Store {
                     seg.rows
                 ));
             }
-            let _ = seg_id;
         }
         if total_rows != self.records {
             findings.push(format!(
@@ -929,10 +851,9 @@ fn write_manifest(
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"path\": {}, \"bytes\": {}, \"run\": {}}}",
+            "\n    {{\"path\": {}, \"bytes\": {}}}",
             json_str(&s.rel),
-            s.bytes,
-            json_str(&s.run)
+            s.bytes
         ));
     }
     if !sources.is_empty() {
@@ -946,14 +867,11 @@ fn write_manifest(
 fn write_ingest_report(store_dir: &Path, report: &IngestReport) -> Result<(), String> {
     let mut out = String::from("{\n  \"report\": \"evdb_ingest\",\n");
     out.push_str(&format!(
-        "  \"records\": {},\n  \"segments\": {},\n  \"index_files\": {},\n  \"sources\": {},\n  \
-         \"sources_parsed\": {},\n  \"sources_reused\": {},\n",
+        "  \"records\": {},\n  \"segments\": {},\n  \"index_files\": {},\n  \"sources\": {},\n",
         report.records,
         report.segments,
         report.index_files,
-        report.sources.len(),
-        report.sources_parsed,
-        report.sources_reused
+        report.sources.len()
     ));
     out.push_str("  \"warnings\": [");
     for (i, w) in report.warnings.iter().enumerate() {

@@ -107,18 +107,11 @@ fn write_run(dir: &Path, run: &str, g: &mut Gen) -> Vec<u64> {
                 )
             })
             .collect();
-        // Half the incidents carry explicit taxonomy fields (the shape
-        // current exports write); the rest are pre-taxonomy and must be
-        // backfilled identically by both backends at extract time.
-        let taxonomy = if g.bool() {
-            format!(
-                ", \"failure_class\": {}, \"is_actionable\": {}",
-                json_str(class.label()),
-                class.is_actionable()
-            )
-        } else {
-            String::new()
-        };
+        let taxonomy = format!(
+            ", \"failure_class\": {}, \"is_actionable\": {}",
+            json_str(class.label()),
+            class.is_actionable()
+        );
         incidents.push(format!(
             "{{\"id\": {id}, \"category\": {}, \"service\": {}, \"description\": {}, \
              \"onset\": {onset}, \"detected\": {}, \"diagnosed\": {}, \"restored\": {}, \
@@ -379,187 +372,86 @@ fn ingest_is_deterministic_across_rebuilds() {
     });
 }
 
-/// Incremental re-ingest is byte-identical to a full rebuild — on
-/// untouched evidence it parses nothing, and after adding a run and
-/// deleting a file it re-parses only what changed, yet every store
-/// file except the `ingest_report.json` cost counters matches a
-/// from-scratch build over the same evidence.
+/// Extraction reads only the current evidence format. An incident
+/// without a known `failure_class`, an SLO row without its own
+/// `target` and a trace event that is not an object each become one
+/// warning and no record — the same from the linear scan and from the
+/// store, which share the extraction.
 #[test]
-fn incremental_reingest_matches_a_full_rebuild_byte_for_byte() {
-    cases(5, |g| {
-        let trial_dir = std::env::temp_dir().join(format!(
-            "intelliqos-evdb-incr-{}",
-            g.u64_in(0, u64::MAX - 1)
-        ));
-        let evidence = trial_dir.join("evidence");
-        let _ = std::fs::remove_dir_all(&trial_dir);
-        std::fs::create_dir_all(&evidence).unwrap();
-        let ids_a = write_run(&evidence, "run_a", g);
-        write_run(&evidence, "run_b", g);
-        write_spill(&evidence, "spill_a", &ids_a, g);
-
-        // Snapshot everything except the ingest report, whose
-        // parsed/reused counters legitimately differ between paths.
-        let snapshot = |dir: &Path| -> Vec<(String, Vec<u8>)> {
-            let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-                .unwrap()
-                .flatten()
-                .map(|e| e.path())
-                .collect();
-            files.sort();
-            files
-                .into_iter()
-                .filter(|p| p.file_name().is_none_or(|n| n != "ingest_report.json"))
-                .map(|p| {
-                    (
-                        p.file_name().unwrap().to_string_lossy().into_owned(),
-                        std::fs::read(&p).unwrap(),
-                    )
-                })
-                .collect()
-        };
-
-        let store_dir = trial_dir.join("store");
-        Store::build(&evidence, &store_dir).unwrap();
-        let full = snapshot(&store_dir);
-
-        // Untouched evidence: nothing re-parses, bytes unchanged.
-        let report = Store::build_incremental(&evidence, &store_dir).unwrap();
-        assert_eq!(report.sources_parsed, 0, "untouched evidence re-parsed");
-        assert_eq!(report.sources_reused, report.sources.len() as u64);
-        assert_eq!(snapshot(&store_dir), full, "no-op re-ingest changed bytes");
-
-        // Change the evidence: add a run, drop run_b's SLO report so
-        // run_b must re-parse while run_a and the spill stay reusable.
-        write_run(&evidence, "run_c", g);
-        let _ = std::fs::remove_file(evidence.join("run_b_slo.json"));
-        let report = Store::build_incremental(&evidence, &store_dir).unwrap();
-        assert!(
-            report.sources_reused > 0,
-            "unchanged runs should be copied forward"
-        );
-        assert!(report.sources_parsed > 0, "changed evidence must re-parse");
-
-        let fresh_dir = trial_dir.join("fresh");
-        Store::build(&evidence, &fresh_dir).unwrap();
-        assert_eq!(
-            snapshot(&store_dir),
-            snapshot(&fresh_dir),
-            "incremental store diverged from a full rebuild"
-        );
-        let _ = std::fs::remove_dir_all(&trial_dir);
-    });
-}
-
-/// Backfill idempotency: a pre-taxonomy export — incidents without
-/// `failure_class`/`is_actionable`, an SLO report with one document
-/// target and no per-row targets — ingests cleanly, the derived
-/// classification is queryable through both backends, and re-ingesting
-/// the same evidence (incrementally or from scratch) reproduces every
-/// store byte without touching the evidence files.
-#[test]
-fn pretaxonomy_evidence_backfills_idempotently() {
-    let trial_dir = std::env::temp_dir().join("intelliqos-evdb-backfill");
+fn records_missing_current_fields_are_warned_and_skipped() {
+    let trial_dir = std::env::temp_dir().join("intelliqos-evdb-current-format");
     let evidence = trial_dir.join("evidence");
     let _ = std::fs::remove_dir_all(&trial_dir);
     std::fs::create_dir_all(&evidence).unwrap();
 
-    // One incident per expected class, written in the exact field order
-    // the pre-taxonomy exporter used.
     let export = concat!(
         "{\n\"seed\": 7,\n\"mode\": \"Test\",\n\"ledger\": {\"incidents\": [",
         "{\"id\": 0, \"category\": \"Hardware\", \"service\": \"db003\", ",
         "\"description\": \"disk died\", \"onset\": 100, \"detected\": 160, ",
         "\"diagnosed\": 200, \"restored\": 900, \"actor\": \"agent\", ",
-        "\"action\": \"restart\", \"escalated\": false, \"attempts\": []}, ",
-        "{\"id\": 1, \"category\": \"Mid-crash\", \"service\": \"db003\", ",
-        "\"description\": \"client killed mid-run\", \"onset\": 2000, ",
-        "\"detected\": 2050, \"diagnosed\": null, \"restored\": 2400, ",
-        "\"actor\": \"agent\", \"action\": \"resync\", \"escalated\": false, ",
-        "\"attempts\": []}, ",
+        "\"action\": \"restart\", \"escalated\": false, ",
+        "\"failure_class\": \"transient-abort\", \"is_actionable\": false, \"attempts\": []}, ",
+        "{\"id\": 1, \"category\": \"Hardware\", \"service\": \"db003\", ",
+        "\"description\": \"no class\", \"onset\": 2000, \"detected\": 2050, ",
+        "\"diagnosed\": null, \"restored\": 2400, \"actor\": \"agent\", ",
+        "\"action\": \"resync\", \"escalated\": false, \"attempts\": []}, ",
         "{\"id\": 2, \"category\": \"Software\", \"service\": \"web001\", ",
-        "\"description\": \"daemon hang\", \"onset\": 5000, \"detected\": 5100, ",
+        "\"description\": \"unknown class\", \"onset\": 5000, \"detected\": 5100, ",
         "\"diagnosed\": 5200, \"restored\": 9000, \"actor\": \"human\", ",
-        "\"action\": \"manual fix\", \"escalated\": true, \"attempts\": []}",
-        "]},\n\"trace\": {\"events\": []}\n}\n"
+        "\"action\": \"manual fix\", \"escalated\": true, ",
+        "\"failure_class\": \"cosmic-ray\", \"is_actionable\": true, \"attempts\": []}",
+        "]},\n\"trace\": {\"events\": [",
+        "{\"seq\":0,\"at\":100,\"subsystem\":\"fault\",\"code\":\"inject\",\"corr\":0,\"detail\":\"d\"}, ",
+        "\"1|160|agent|detect|d\"",
+        "]}\n}\n"
     );
-    std::fs::write(evidence.join("old_run.json"), export).unwrap();
+    std::fs::write(evidence.join("run.json"), export).unwrap();
     let slo = concat!(
         "{\n\"report\": \"slo\",\n\"seed\": 7,\n\"mode\": \"Test\",\n",
         "\"target\": 0.999,\n\"services\": [",
         "{\"service\": \"db003\", \"incidents\": 2, \"downtime_secs\": 1200, ",
-        "\"availability\": 99.2, \"mttr_secs\": 545.0, \"burn_alerts\": 0}",
+        "\"availability\": 99.2, \"mttr_secs\": 545.0, \"burn_alerts\": 0, \"target\": 0.9999}, ",
+        "{\"service\": \"web001\", \"incidents\": 1, \"downtime_secs\": 3900, ",
+        "\"availability\": 97.0, \"mttr_secs\": 3900.0, \"burn_alerts\": 1}",
         "]\n}\n"
     );
-    std::fs::write(evidence.join("old_run_slo.json"), slo).unwrap();
-
-    // Everything except the ingest report, whose parsed/reused cost
-    // counters legitimately differ between incremental and full paths.
-    let snapshot = |dir: &Path| -> Vec<(String, Vec<u8>)> {
-        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
-            .unwrap()
-            .flatten()
-            .map(|e| e.path())
-            .collect();
-        files.sort();
-        files
-            .into_iter()
-            .filter(|p| p.file_name().is_none_or(|n| n != "ingest_report.json"))
-            .map(|p| {
-                (
-                    p.file_name().unwrap().to_string_lossy().into_owned(),
-                    std::fs::read(&p).unwrap(),
-                )
-            })
-            .collect()
-    };
+    std::fs::write(evidence.join("run_slo.json"), slo).unwrap();
 
     let store_dir = trial_dir.join("store");
-    Store::build(&evidence, &store_dir).unwrap();
-    let first = snapshot(&store_dir);
-    // Re-ingest twice more: once incrementally, once from scratch.
-    Store::build_incremental(&evidence, &store_dir).unwrap();
-    assert_eq!(snapshot(&store_dir), first, "incremental re-ingest drifted");
-    Store::build(&evidence, &store_dir).unwrap();
-    assert_eq!(snapshot(&store_dir), first, "full re-ingest drifted");
-
-    // The backfilled classification answers queries, identically from
-    // the index and the linear scan over the untouched old files.
+    let report = Store::build(&evidence, &store_dir).unwrap();
     let store = Store::open(&store_dir).unwrap();
-    let expect = [
-        ("transient-abort", 1usize), // auto-closed, not escalated
-        ("client-workload", 1),      // Mid-crash category
-        ("service-fault", 1),        // escalated to a human
-    ];
-    for (class, count) in expect {
-        let q = Query {
-            class: Some(class.to_string()),
-            ..Query::default()
-        };
-        let (indexed, stats) = store.query(&q).unwrap();
-        let (scanned, _, _) = scan_query(&evidence, &q).unwrap();
-        assert_eq!(indexed, scanned, "backends diverged for class {class}");
-        assert_eq!(indexed.len(), count, "wrong count for class {class}");
-        assert_eq!(stats.source_files_read, 0);
-    }
-    let q = Query {
-        actionable: Some(false),
-        ..Query::default()
-    };
-    let (indexed, _) = store.query(&q).unwrap();
-    assert_eq!(indexed.len(), 2, "two of the three classes do not burn");
+    let (indexed, _) = store.query(&Query::default()).unwrap();
+    let (scanned, _, scan_warnings) = scan_query(&evidence, &Query::default()).unwrap();
+    assert_eq!(indexed, scanned, "backends diverged");
+    assert_eq!(
+        report.warnings, scan_warnings,
+        "backends warned differently"
+    );
 
-    // The inherited document-level target reached the SLO row.
-    let q = Query {
-        kind: Some(Kind::Slo),
-        ..Query::default()
-    };
-    let (rows, _) = store.query(&q).unwrap();
-    assert_eq!(rows.len(), 1);
-    if let intelliqos_evdb::Rec::Slo(row) = &rows[0] {
-        assert_eq!(row.target.to_bits(), 0.999f64.to_bits());
-    } else {
-        panic!("expected an SLO row");
+    let expected = [
+        "incidents[1]: incident without failure_class",
+        "incidents[2]: incident with unknown failure_class \"cosmic-ray\"",
+        "events[1]: event is not an object",
+        "services[1] without a target",
+    ];
+    assert_eq!(
+        report.warnings.len(),
+        expected.len(),
+        "{:?}",
+        report.warnings
+    );
+    for want in expected {
+        assert!(
+            report.warnings.iter().any(|w| w.ends_with(want)),
+            "missing warning {want:?} in {:?}",
+            report.warnings
+        );
+    }
+    // One valid incident, trace event and SLO row survive.
+    let lines: Vec<String> = indexed.iter().map(|r| r.render_line()).collect();
+    for kind in Kind::ALL {
+        let n = indexed.iter().filter(|r| r.kind() == kind).count();
+        assert_eq!(n, 1, "{} records: {lines:?}", kind.tag());
     }
 
     let _ = std::fs::remove_dir_all(&trial_dir);

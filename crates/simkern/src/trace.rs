@@ -10,9 +10,9 @@
 //! Retention is pluggable behind the [`TraceSink`] trait:
 //!
 //! * [`RingSink`] follows the paper's circular-measurement-file
-//!   discipline (§3.5): a bounded ring keeps the most recent events
-//!   (with optional dedicated per-subsystem rings), per-subsystem
-//!   counters keep exact lifetime totals even after eviction.
+//!   discipline (§3.5): a bounded ring keeps the most recent events,
+//!   per-subsystem counters keep exact lifetime totals even after
+//!   eviction.
 //! * [`SpillSink`] is the flight recorder: every event is appended to
 //!   chunked JSONL files on disk (nothing is ever lost), while a
 //!   bounded in-memory tail keeps recent events available to
@@ -84,7 +84,8 @@ impl Subsystem {
         }
     }
 
-    /// Inverse of [`Subsystem::tag`]; used by CLI per-subsystem options.
+    /// Inverse of [`Subsystem::tag`]; used by CLI subsystem filters and
+    /// evidence readers.
     pub fn from_tag(tag: &str) -> Option<Subsystem> {
         Subsystem::ALL.iter().copied().find(|s| s.tag() == tag)
     }
@@ -440,69 +441,36 @@ pub trait TraceSink: std::fmt::Debug + Send {
     fn kind(&self) -> &'static str;
 }
 
-/// The in-memory ring sink: a shared bounded ring, plus optional
-/// dedicated rings for individual subsystems so a chatty subsystem
-/// (workload, LSF) cannot evict the sparse one you are triaging.
+/// The in-memory ring sink: one bounded ring of the most recent
+/// events.
 #[derive(Debug)]
 pub struct RingSink {
-    shared: CircularQueue<TraceEvent>,
-    per: Vec<(Subsystem, CircularQueue<TraceEvent>)>,
+    ring: CircularQueue<TraceEvent>,
     dropped_by: [u64; Subsystem::ALL.len()],
 }
 
 impl RingSink {
-    /// A ring sink with one shared ring of `capacity` events.
+    /// A ring sink retaining the last `capacity` events.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         RingSink {
-            shared: CircularQueue::new(capacity),
-            per: Vec::new(),
+            ring: CircularQueue::new(capacity),
             dropped_by: [0; Subsystem::ALL.len()],
-        }
-    }
-
-    /// Give `subsystem` its own dedicated ring of `capacity` events;
-    /// its events no longer compete with the shared ring.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_subsystem_capacity(mut self, subsystem: Subsystem, capacity: usize) -> Self {
-        if let Some(slot) = self.per.iter_mut().find(|(s, _)| *s == subsystem) {
-            slot.1 = CircularQueue::new(capacity);
-        } else {
-            self.per.push((subsystem, CircularQueue::new(capacity)));
-        }
-        self
-    }
-
-    fn ring_for(&mut self, subsystem: Subsystem) -> &mut CircularQueue<TraceEvent> {
-        match self.per.iter_mut().find(|(s, _)| *s == subsystem) {
-            Some((_, ring)) => ring,
-            None => &mut self.shared,
         }
     }
 }
 
 impl TraceSink for RingSink {
     fn record(&mut self, ev: TraceEvent) {
-        let sub = ev.subsystem;
-        if let Some(evicted) = self.ring_for(sub).push(ev) {
+        if let Some(evicted) = self.ring.push(ev) {
             self.dropped_by[evicted.subsystem.index()] += 1;
         }
     }
 
     fn retained(&self) -> Vec<&TraceEvent> {
-        if self.per.is_empty() {
-            return self.shared.iter().collect();
-        }
-        let mut all: Vec<&TraceEvent> = self.shared.iter().collect();
-        for (_, ring) in &self.per {
-            all.extend(ring.iter());
-        }
-        all.sort_by_key(|e| e.seq);
-        all
+        self.ring.iter().collect()
     }
 
     fn dropped(&self) -> u64 {
@@ -514,22 +482,7 @@ impl TraceSink for RingSink {
     }
 
     fn set_last_corr(&mut self, corr: u64) {
-        // The most recently recorded event is the back entry with the
-        // globally highest seq across all rings.
-        let mut best: Option<(Option<usize>, u64)> = self.shared.back().map(|e| (None, e.seq));
-        for (i, (_, ring)) in self.per.iter().enumerate() {
-            if let Some(e) = ring.back() {
-                if best.is_none_or(|(_, s)| e.seq > s) {
-                    best = Some((Some(i), e.seq));
-                }
-            }
-        }
-        let back = match best {
-            Some((Some(i), _)) => self.per[i].1.back_mut(),
-            Some((None, _)) => self.shared.back_mut(),
-            None => None,
-        };
-        if let Some(e) = back {
+        if let Some(e) = self.ring.back_mut() {
             e.corr = Some(corr);
         }
     }
@@ -983,11 +936,9 @@ pub fn read_spill_chunks(dir: &std::path::Path) -> Result<(Vec<SpillRecord>, Vec
 /// Everything configurable about a trace, bundled for CLI plumbing.
 #[derive(Debug, Clone)]
 pub struct TraceOptions {
-    /// Shared in-memory capacity: ring size for [`RingSink`], tail size
-    /// for [`SpillSink`].
+    /// In-memory capacity: ring size for [`RingSink`], tail size for
+    /// [`SpillSink`].
     pub capacity: usize,
-    /// Dedicated per-subsystem ring capacities (ring sink only).
-    pub per_subsystem: Vec<(Subsystem, usize)>,
     /// When set, use a [`SpillSink`] writing under this configuration.
     pub spill: Option<SpillConfig>,
     /// When set, record only these subsystems; everything else is
@@ -999,7 +950,6 @@ impl Default for TraceOptions {
     fn default() -> Self {
         TraceOptions {
             capacity: DEFAULT_TRACE_CAPACITY,
-            per_subsystem: Vec::new(),
             spill: None,
             only: None,
         }
@@ -1059,7 +1009,7 @@ impl Trace {
     }
 
     /// An enabled trace configured by `opts`: ring or spill sink,
-    /// per-subsystem capacities, subsystem filter.
+    /// capacity, subsystem filter.
     ///
     /// # Panics
     /// Panics if any configured capacity or chunk size is zero.
@@ -1069,13 +1019,7 @@ impl Trace {
                 spill.tail_capacity = opts.capacity;
                 Box::new(SpillSink::new(spill))
             }
-            None => {
-                let mut ring = RingSink::new(opts.capacity);
-                for (sub, cap) in opts.per_subsystem {
-                    ring = ring.with_subsystem_capacity(sub, cap);
-                }
-                Box::new(ring)
-            }
+            None => Box::new(RingSink::new(opts.capacity)),
         };
         let mut filter = [opts.only.is_none(); Subsystem::ALL.len()];
         if let Some(only) = opts.only {
@@ -1354,34 +1298,6 @@ mod tests {
             assert_eq!(Subsystem::from_tag(sub.tag()), Some(sub));
         }
         assert_eq!(Subsystem::from_tag("nope"), None);
-    }
-
-    #[test]
-    fn per_subsystem_ring_protects_sparse_stream() {
-        let mut t = Trace::with_options(TraceOptions {
-            capacity: 4,
-            per_subsystem: vec![(Subsystem::Fault, 8)],
-            ..TraceOptions::default()
-        });
-        t.emit(SimTime::ZERO, Subsystem::Fault, "inject", || "f0".into());
-        for i in 0..20u64 {
-            t.emit(SimTime::from_secs(i), Subsystem::Workload, "submit", || {
-                String::new()
-            });
-        }
-        // The flood evicted workload events but the fault line survives.
-        assert_eq!(t.evicted(), 16);
-        let events = t.events();
-        assert_eq!(events[0].seq, 0);
-        assert_eq!(events[0].subsystem, Subsystem::Fault);
-        // Merged view stays seq-sorted.
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        let mut sorted = seqs.clone();
-        sorted.sort_unstable();
-        assert_eq!(seqs, sorted);
-        let by = t.dropped_by_subsystem();
-        assert!(by.contains(&("work", 16)));
-        assert!(by.contains(&("fault", 0)));
     }
 
     #[test]

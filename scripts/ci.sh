@@ -47,10 +47,9 @@ test -s results/evidence/fig2_downtime_agents.json
 test -s results/evidence/fig2_downtime_manual_slo.json
 test -s results/evidence/fig2_downtime_agents_slo.json
 test -s results/BENCH_fig2.json
-# Taxonomy-era exports: every incident classified, per-scope SLO
-# columns close (all == service + client + abort) — evidence_check
-# enforces both.
-grep '"taxonomy": 1' results/evidence/fig2_downtime_manual.json > /dev/null
+# evidence_check enforces the taxonomy marker on every run export and
+# per-scope SLO column closure (all == service + client + abort); the
+# default burn scope is checked here.
 grep '"burn_scope": "service"' results/evidence/fig2_downtime_manual_slo.json > /dev/null
 ./target/release/ontology_check
 test -s results/evidence/ontology_check_site.json
@@ -102,10 +101,14 @@ if ./target/release/evdb query --store results/evdb --class servce-fault > /dev/
     exit 1
 fi
 
-echo "== evdb incremental re-ingest (nothing re-parses, bytes unchanged)"
-cp results/evdb/manifest.json target/evdb_manifest.before
-./target/release/evdb ingest results/evidence --store results/evdb | grep -E "\(0 parsed, [0-9]+ reused" > /dev/null
-diff results/evdb/manifest.json target/evdb_manifest.before
+echo "== evdb re-ingest is byte-identical"
+rm -rf target/evdb_before
+mkdir -p target/evdb_before
+cp results/evdb/manifest.json results/evdb/seg-*.evseg results/evdb/idx-*.evx target/evdb_before/
+./target/release/evdb ingest results/evidence --store results/evdb > /dev/null
+for f in target/evdb_before/*; do
+    diff "$f" "results/evdb/$(basename "$f")"
+done
 
 echo "== indexed triage byte-identity (evdb answer == linear scan answer)"
 # The plain triage run exports two full run ledgers (small config, 3

@@ -279,7 +279,7 @@ fn failure_taxonomy_is_consistent_across_ledger_slo_and_trace() {
         let (world, _) = run_traced(23, mode);
 
         // Classification is a pure function of the incident record, so
-        // evidence backfill can never disagree with the live run.
+        // a reader re-deriving it from the export agrees with the run.
         let mut class_counts = [0u64; 3];
         for inc in world.ledger.incidents() {
             let rederived = classify_failure(
