@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks for the batch-scheduling path: candidate
-//! snapshots, policy selection over 100 database servers, and the
+//! Criterion micro-benchmarks for the batch-scheduling path: the lazy
+//! candidate view, policy selection over 100 database servers, and the
 //! dispatch loop itself.
 
 use std::collections::BTreeMap;
@@ -63,7 +63,7 @@ fn dgspl(n: u32) -> Dgspl {
 fn bench_selectors(c: &mut Criterion) {
     let srv = servers(100);
     let lsf = LsfCluster::new(srv.keys().copied().collect(), 3);
-    let cands = lsf.candidates(&srv, |_| true);
+    let cands = lsf.candidates(&srv, &|_| true);
     let job = Job::new(
         JobId(0),
         JobSpec::defaults_for(JobKind::DataMining, "analyst07"),
@@ -101,10 +101,15 @@ fn bench_dispatch(c: &mut Criterion) {
             black_box(d.len())
         })
     });
+    // Every candidate of the view computed once: what a selector that
+    // reads all hosts pays (the eager snapshot every dispatch used to build).
     c.bench_function("dispatch/candidates_snapshot_100", |b| {
         let srv = servers(100);
         let lsf = LsfCluster::new(srv.keys().copied().collect(), 3);
-        b.iter(|| black_box(lsf.candidates(&srv, |_| true).len()))
+        b.iter(|| {
+            let view = lsf.candidates(&srv, &|_| true);
+            black_box(view.iter().filter(|c| c.accepts_jobs()).count())
+        })
     });
 }
 

@@ -167,12 +167,19 @@ impl HarnessOpts {
                 }
                 "--trace-only" => {
                     if let Some(v) = args.get(i + 1) {
-                        let subs: Vec<Subsystem> =
-                            v.split(',').filter_map(Subsystem::from_tag).collect();
-                        if subs.is_empty() {
-                            eprintln!("ignoring bad --trace-only value: {v}");
+                        // One unknown tag spoils the list: recording the
+                        // known ones alone would silently narrow the trace.
+                        let unknown: Vec<&str> = v
+                            .split(',')
+                            .filter(|t| Subsystem::from_tag(t).is_none())
+                            .collect();
+                        if unknown.is_empty() {
+                            opts.trace_only =
+                                Some(v.split(',').filter_map(Subsystem::from_tag).collect());
                         } else {
-                            opts.trace_only = Some(subs);
+                            eprintln!(
+                                "ignoring bad --trace-only value: {v} (unknown tags: {unknown:?})"
+                            );
                         }
                     }
                     i += 1;
@@ -496,6 +503,13 @@ mod tests {
             let opts = HarnessOpts::parse_from(["--trace-cap", bad].map(String::from), 1);
             assert_eq!(opts.trace_cap, None, "--trace-cap {bad} must not parse");
             assert!(!opts.traced(), "--trace-cap {bad} must not imply tracing");
+        }
+        // Any unknown tag makes the whole list a bad value, so a typo
+        // never narrows the recording to the tags that happened to parse.
+        for bad in ["fault,agnet", "agnet", "fault,"] {
+            let opts = HarnessOpts::parse_from(["--trace-only", bad].map(String::from), 1);
+            assert_eq!(opts.trace_only, None, "--trace-only {bad} must not parse");
+            assert!(!opts.traced(), "--trace-only {bad} must not imply tracing");
         }
     }
 

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use intelliqos_cluster::ids::ServerId;
 
 use intelliqos_lsf::job::Job;
-use intelliqos_lsf::select::{ServerCandidate, ServerSelector};
+use intelliqos_lsf::select::{CandidateView, ServerSelector};
 
 use intelliqos_ontology::dgspl::Dgspl;
 
@@ -21,7 +21,7 @@ use intelliqos_ontology::dgspl::Dgspl;
 ///
 /// The DGSPL is regenerated every ~15 minutes, so its load picture can
 /// be stale — that is the realistic imperfection the paper accepts. The
-/// candidate snapshot still vetoes servers that are down, databaseless,
+/// candidate view still vetoes servers that are down, databaseless,
 /// or at their job limit *right now* (the LSF layer knows that much), so
 /// staleness costs placement quality, not correctness.
 pub struct DgsplSelector {
@@ -79,7 +79,7 @@ impl DgsplSelector {
 }
 
 impl ServerSelector for DgsplSelector {
-    fn select(&mut self, job: &Job, candidates: &[ServerCandidate]) -> Option<ServerId> {
+    fn select(&mut self, job: &Job, candidates: &CandidateView<'_>) -> Option<ServerId> {
         let dgspl = self.dgspl.as_ref()?;
         let pred = |e: &intelliqos_ontology::dgspl::DgsplEntry| {
             e.app_type.starts_with(self.app_type.as_str())
@@ -99,10 +99,8 @@ impl ServerSelector for DgsplSelector {
             if job.attempts > 0 && job.tried_servers.contains(&sid) {
                 continue;
             }
-            if let Some(c) = candidates.iter().find(|c| c.server == sid) {
-                if c.accepts_jobs() {
-                    return Some(sid);
-                }
+            if candidates.find(sid).is_some_and(|c| c.accepts_jobs()) {
+                return Some(sid);
             }
         }
         // DGSPL exhausted (or a hard floor excluded everything): the
@@ -120,6 +118,8 @@ impl ServerSelector for DgsplSelector {
 mod tests {
     use super::*;
     use intelliqos_cluster::hardware::ServerModel;
+    use intelliqos_cluster::ids::Site;
+    use intelliqos_cluster::server::Server;
     use intelliqos_lsf::job::{JobId, JobKind, JobSpec};
     use intelliqos_ontology::dgspl::DgsplEntry;
     use intelliqos_simkern::SimTime;
@@ -142,15 +142,45 @@ mod tests {
         }
     }
 
-    fn candidate(id: u32, running: u32) -> ServerCandidate {
-        ServerCandidate {
-            server: ServerId(id),
-            spec: ServerModel::SunE4500.default_spec(),
-            running_jobs: running,
-            job_limit: 4,
-            cpu_utilization: 0.5,
-            db_serving: true,
-            up: true,
+    /// Hosts `0..running.len()` with `running[i]` jobs each (limit 4);
+    /// the database serves everywhere but on `db_down`.
+    struct Hosts {
+        ids: Vec<ServerId>,
+        servers: BTreeMap<ServerId, Server>,
+        running: BTreeMap<ServerId, Vec<JobId>>,
+        db_down: Option<ServerId>,
+    }
+
+    fn hosts(running: &[usize]) -> Hosts {
+        let ids: Vec<ServerId> = (0..running.len() as u32).map(ServerId).collect();
+        let servers = ids
+            .iter()
+            .map(|&sid| {
+                let spec = ServerModel::SunE4500.default_spec();
+                (
+                    sid,
+                    Server::new(sid, sid.to_string(), spec, Site::new("L", "L")),
+                )
+            })
+            .collect();
+        let running = ids
+            .iter()
+            .zip(running)
+            .map(|(&sid, &n)| (sid, vec![JobId(0); n]))
+            .collect();
+        Hosts {
+            ids,
+            servers,
+            running,
+            db_down: None,
+        }
+    }
+
+    impl Hosts {
+        fn select(&self, sel: &mut DgsplSelector, job: &Job) -> Option<ServerId> {
+            let db = |sid: ServerId| self.db_down != Some(sid);
+            let view = CandidateView::new(&self.ids, &self.servers, &self.running, 4, &db);
+            sel.select(job, &view)
         }
     }
 
@@ -185,8 +215,10 @@ mod tests {
             entry("b", "Sun-E4500", 7.2, 8, 0.1), // least loaded → best
             entry("c", "Sun-E4500", 7.2, 8, 0.5),
         ]);
-        let cands = vec![candidate(0, 0), candidate(1, 0), candidate(2, 0)];
-        assert_eq!(sel.select(&job(), &cands), Some(ServerId(1)));
+        assert_eq!(
+            hosts(&[0, 0, 0]).select(&mut sel, &job()),
+            Some(ServerId(1))
+        );
     }
 
     #[test]
@@ -196,8 +228,7 @@ mod tests {
             entry("b", "Sun-E4500", 7.2, 8, 0.1),
         ]);
         // b is at its job limit right now despite the rosy DGSPL view.
-        let cands = vec![candidate(0, 0), candidate(1, 4)];
-        assert_eq!(sel.select(&job(), &cands), Some(ServerId(0)));
+        assert_eq!(hosts(&[0, 4]).select(&mut sel, &job()), Some(ServerId(0)));
     }
 
     #[test]
@@ -208,34 +239,33 @@ mod tests {
             entry("c", "Sun-E4500", 3.6, 4, 0.3),     // same model, too small
         ]);
         sel.set_replacement_floor("Sun-E4500", 7.2, 8);
-        let cands = vec![candidate(0, 0), candidate(1, 0), candidate(2, 0)];
+        let h = hosts(&[0, 0, 0]);
         // Same-model-with-more-resources wins over the idler E10K.
-        assert_eq!(sel.select(&job(), &cands), Some(ServerId(1)));
+        assert_eq!(h.select(&mut sel, &job()), Some(ServerId(1)));
         sel.clear_replacement_floor();
         // Without the floor, plain best-first (load) applies: the E10K.
-        assert_eq!(sel.select(&job(), &cands), Some(ServerId(0)));
+        assert_eq!(h.select(&mut sel, &job()), Some(ServerId(0)));
     }
 
     #[test]
     fn unknown_hosts_in_dgspl_are_skipped() {
         let mut sel = selector(vec![entry("ghost-host", "Sun-E4500", 7.2, 8, 0.0)]);
-        let cands = vec![candidate(0, 0)];
-        assert_eq!(sel.select(&job(), &cands), None);
+        assert_eq!(hosts(&[0]).select(&mut sel, &job()), None);
     }
 
     #[test]
     fn exhausted_shortlist_returns_none() {
         let mut sel = selector(vec![entry("a", "Sun-E4500", 7.2, 8, 0.2)]);
-        let mut cand = candidate(0, 0);
-        cand.db_serving = false;
-        assert_eq!(sel.select(&job(), &[cand]), None);
+        let mut h = hosts(&[0]);
+        h.db_down = Some(ServerId(0));
+        assert_eq!(h.select(&mut sel, &job()), None);
     }
 
     #[test]
     fn no_dgspl_selects_nothing() {
         let mut sel = DgsplSelector::new(BTreeMap::new(), "db-oracle");
         assert!(sel.current().is_none());
-        assert_eq!(sel.select(&job(), &[candidate(0, 0)]), None);
+        assert_eq!(hosts(&[0]).select(&mut sel, &job()), None);
     }
 
     #[test]

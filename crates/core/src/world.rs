@@ -29,9 +29,7 @@ use intelliqos_baseline::patrol::HumanDetectionModel;
 
 use intelliqos_lsf::cluster::{db_crash_roll, LsfCluster};
 use intelliqos_lsf::job::{FailReason, Job, JobId};
-use intelliqos_lsf::select::{
-    ManualStickySelector, RandomSelector, ServerCandidate, ServerSelector,
-};
+use intelliqos_lsf::select::{CandidateView, ManualStickySelector, RandomSelector, ServerSelector};
 use intelliqos_lsf::workload::{Arrival, WorkloadGenerator};
 
 use intelliqos_ontology::dgspl::Dgspl;
@@ -161,7 +159,7 @@ struct WorldSelector<'a> {
 }
 
 impl ServerSelector for WorldSelector<'_> {
-    fn select(&mut self, job: &Job, candidates: &[ServerCandidate]) -> Option<ServerId> {
+    fn select(&mut self, job: &Job, candidates: &CandidateView<'_>) -> Option<ServerId> {
         if job.attempts == 0 {
             return self.manual.select(job, candidates);
         }
@@ -911,7 +909,7 @@ impl World {
             }
             WorldEvent::JobDone(id) => {
                 self.job_tokens.remove(&id);
-                self.lsf.complete(id, &mut self.servers, now);
+                self.lsf.complete(id, &mut self.servers);
                 self.trace
                     .emit(now, Subsystem::Lsf, "done", || format!("job={id:?}"));
                 self.try_dispatch(now);
@@ -932,27 +930,17 @@ impl World {
         }
     }
 
-    fn db_serving_map(&self) -> BTreeMap<ServerId, bool> {
-        self.db_hosts
-            .iter()
-            .map(|&sid| {
-                let ok = self
-                    .db_service_of
-                    .get(&sid)
-                    .and_then(|id| self.registry.get(*id))
-                    .map(|s| s.status.is_serving())
-                    .unwrap_or(false);
-                (sid, ok)
-            })
-            .collect()
-    }
-
     fn try_dispatch(&mut self, now: SimTime) {
         if self.lsf.pending_count() == 0 {
             return;
         }
         let t = self.profiler.start();
-        let db_serving = self.db_serving_map();
+        let db_serving = |sid: ServerId| {
+            self.db_service_of
+                .get(&sid)
+                .and_then(|id| self.registry.get(*id))
+                .is_some_and(|s| s.status.is_serving())
+        };
         let mut selector = WorldSelector {
             manual: &mut self.manual_selector,
             random: &mut self.random_selector,
@@ -960,12 +948,9 @@ impl World {
             mode: self.cfg.mode,
             policy: self.cfg.resched,
         };
-        let dispatches = self.lsf.dispatch_pending(
-            &mut selector,
-            &mut self.servers,
-            |sid| db_serving.get(&sid).copied().unwrap_or(false),
-            now,
-        );
+        let dispatches =
+            self.lsf
+                .dispatch_pending(&mut selector, &mut self.servers, db_serving, now);
         self.metrics.add("lsf.dispatched", dispatches.len() as u64);
         for d in dispatches {
             let tok = self
@@ -1040,10 +1025,15 @@ impl World {
     // -- endogenous database crashes ---------------------------------
 
     fn on_crash_sweep(&mut self, now: SimTime) {
-        let hosts = self.db_hosts.clone();
-        for sid in hosts {
+        // By index: `db_crash` needs `&mut self`, and the host list never
+        // changes. Most hosts run no job, so that test goes first.
+        for i in 0..self.db_hosts.len() {
+            let sid = self.db_hosts[i];
+            if self.lsf.running_on(sid).is_empty() {
+                continue;
+            }
             let up = self.servers.get(&sid).map(|s| s.is_up()).unwrap_or(false);
-            if !up || self.lsf.running_on(sid).is_empty() {
+            if !up {
                 continue;
             }
             let svc = self.db_service_of[&sid];

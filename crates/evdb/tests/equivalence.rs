@@ -171,7 +171,6 @@ fn write_spill(dir: &Path, name: &str, ids: &[u64], g: &mut Gen) {
         spill: Some(SpillConfig {
             dir: spill_dir.clone(),
             chunk_records,
-            tail_capacity: 0,
         }),
         ..TraceOptions::default()
     });

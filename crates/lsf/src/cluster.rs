@@ -16,7 +16,7 @@ use intelliqos_cluster::ids::ServerId;
 use intelliqos_cluster::server::Server;
 
 use crate::job::{FailReason, Job, JobId, JobSpec, JobState};
-use crate::select::{ServerCandidate, ServerSelector};
+use crate::select::{CandidateView, ServerSelector};
 
 /// Dispatch outcome for one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,7 +116,8 @@ impl LsfCluster {
         self.jobs.get(&id)
     }
 
-    /// All jobs (id order).
+    /// All pending, running and failed jobs (id order); completed jobs
+    /// leave the table.
     pub fn jobs(&self) -> impl Iterator<Item = &Job> {
         self.jobs.values()
     }
@@ -134,6 +135,11 @@ impl LsfCluster {
         self.pending.len()
     }
 
+    /// Queued job ids, in dispatch order.
+    pub fn pending_ids(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.pending.iter().copied()
+    }
+
     /// Ids of jobs currently in `Failed` state (indexed — O(failed),
     /// not O(all jobs ever)).
     pub fn failed_ids(&self) -> Vec<JobId> {
@@ -145,31 +151,20 @@ impl LsfCluster {
         self.stats
     }
 
-    /// Build the candidate snapshot a selector sees. `db_serving_on`
-    /// reports whether the database on a host is currently serving.
-    pub fn candidates<F>(
-        &self,
-        servers: &BTreeMap<ServerId, Server>,
-        db_serving_on: F,
-    ) -> Vec<ServerCandidate>
-    where
-        F: Fn(ServerId) -> bool,
-    {
-        self.exec_hosts
-            .iter()
-            .filter_map(|&sid| {
-                let srv = servers.get(&sid)?;
-                Some(ServerCandidate {
-                    server: sid,
-                    spec: srv.spec,
-                    running_jobs: self.running_on(sid).len() as u32,
-                    job_limit: self.job_limit_per_server,
-                    cpu_utilization: srv.cpu_utilization(),
-                    db_serving: db_serving_on(sid),
-                    up: srv.is_up(),
-                })
-            })
-            .collect()
+    /// The candidate view a selector sees. `db_serving_on` reports
+    /// whether the database on a host is currently serving.
+    pub fn candidates<'a>(
+        &'a self,
+        servers: &'a BTreeMap<ServerId, Server>,
+        db_serving_on: &'a dyn Fn(ServerId) -> bool,
+    ) -> CandidateView<'a> {
+        CandidateView::new(
+            &self.exec_hosts,
+            servers,
+            &self.running_on,
+            self.job_limit_per_server,
+            db_serving_on,
+        )
     }
 
     /// Dispatch pending jobs through `selector`. Each dispatched job
@@ -194,90 +189,74 @@ impl LsfCluster {
         }
         let mut dispatched = Vec::new();
         let mut still_pending = VecDeque::new();
-        // Candidate acceptability (up/db/slots) is job-independent, so
-        // once no candidate accepts jobs, every remaining pending job is
-        // equally stuck — stop scanning (head-of-line FIFO semantics).
-        // The snapshot is built once and updated in place per placement.
-        let mut cands = self.candidates(servers, &db_serving_on);
         while let Some(jid) = self.pending.pop_front() {
             // qoslint::allow(no-panic, jid was drawn from the pending queue)
             let job = self.jobs.get(&jid).expect("pending job exists");
-            if !cands.iter().any(|c| c.accepts_jobs()) {
+            let view = self.candidates(servers, &db_serving_on);
+            let Some(sid) = selector.select(job, &view) else {
+                // Acceptability (up/db/slots) is job-independent, so once
+                // no candidate accepts jobs every remaining pending job is
+                // equally stuck: stop scanning (head-of-line FIFO). Asking
+                // the selector first changes nothing, since no selector
+                // draws from its RNG when nothing accepts.
                 still_pending.push_back(jid);
-                still_pending.extend(self.pending.drain(..));
-                break;
-            }
-            let choice = selector.select(job, &cands);
-            match choice {
-                Some(sid) => {
-                    // qoslint::allow(no-panic, sid and jid were validated by the dispatch scan above)
-                    let srv = servers.get_mut(&sid).expect("candidate server exists");
-                    // qoslint::allow(no-panic, sid and jid were validated by the dispatch scan above)
-                    let job = self.jobs.get_mut(&jid).expect("pending job exists");
-                    let pid = srv.procs.spawn(
-                        "lsf_job",
-                        format!("{} {}", job.spec.kind.tag(), jid),
-                        job.spec.user.clone(),
-                        job.spec.cpu_demand,
-                        job.spec.mem_mb,
-                        job.spec.io_demand,
-                        now,
-                    );
-                    // Saturation stretches the runtime: a job on a box at
-                    // 2× capacity takes ~2× longer.
-                    let stretch = srv.cpu_utilization().max(1.0);
-                    let runtime =
-                        SimDuration::from_secs_f64(job.spec.runtime.as_secs() as f64 * stretch);
-                    let expected_end = now + runtime;
-                    job.state = JobState::Running {
-                        server: sid,
-                        pid,
-                        started: now,
-                        expected_end,
-                    };
-                    job.attempts += 1;
-                    if !job.tried_servers.contains(&sid) {
-                        job.tried_servers.push(sid);
-                    }
-                    self.running_on.entry(sid).or_default().push(jid);
-                    self.stats.dispatched += 1;
-                    dispatched.push(Dispatch {
-                        job: jid,
-                        server: sid,
-                        expected_end,
-                    });
-                    if let Some(c) = cands.iter_mut().find(|c| c.server == sid) {
-                        c.running_jobs += 1;
-                        c.cpu_utilization = servers
-                            .get(&sid)
-                            .map(|s| s.cpu_utilization())
-                            .unwrap_or(0.0);
-                    }
+                if !view.iter().any(|c| c.accepts_jobs()) {
+                    still_pending.extend(self.pending.drain(..));
+                    break;
                 }
-                None => still_pending.push_back(jid),
+                continue;
+            };
+            // qoslint::allow(no-panic, the selector picks among the candidate servers)
+            let srv = servers.get_mut(&sid).expect("candidate server exists");
+            // qoslint::allow(no-panic, jid was drawn from the pending queue)
+            let job = self.jobs.get_mut(&jid).expect("pending job exists");
+            let pid = srv.procs.spawn(
+                "lsf_job",
+                format!("{} {}", job.spec.kind.tag(), jid),
+                job.spec.user.clone(),
+                job.spec.cpu_demand,
+                job.spec.mem_mb,
+                job.spec.io_demand,
+                now,
+            );
+            // Saturation stretches the runtime: a job on a box at
+            // 2× capacity takes ~2× longer.
+            let stretch = srv.cpu_utilization().max(1.0);
+            let runtime = SimDuration::from_secs_f64(job.spec.runtime.as_secs() as f64 * stretch);
+            let expected_end = now + runtime;
+            job.state = JobState::Running {
+                server: sid,
+                pid,
+                started: now,
+                expected_end,
+            };
+            job.attempts += 1;
+            if !job.tried_servers.contains(&sid) {
+                job.tried_servers.push(sid);
             }
+            self.running_on.entry(sid).or_default().push(jid);
+            self.stats.dispatched += 1;
+            dispatched.push(Dispatch {
+                job: jid,
+                server: sid,
+                expected_end,
+            });
         }
         self.pending = still_pending;
         dispatched
     }
 
-    /// Mark a running job completed; removes its process.
-    pub fn complete(
-        &mut self,
-        id: JobId,
-        servers: &mut BTreeMap<ServerId, Server>,
-        now: SimTime,
-    ) -> bool {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return false;
-        };
-        let JobState::Running { server, pid, .. } = job.state else {
+    /// Complete a running job: removes its process and drops it from
+    /// the job table, which holds only pending, running and failed jobs.
+    pub fn complete(&mut self, id: JobId, servers: &mut BTreeMap<ServerId, Server>) -> bool {
+        let Some(JobState::Running { server, pid, .. }) = self.jobs.get(&id).map(|j| j.state)
+        else {
             return false;
         };
         if let Some(srv) = servers.get_mut(&server) {
             srv.procs.kill(pid);
         }
-        job.state = JobState::Completed { at: now };
+        self.jobs.remove(&id);
         if let Some(v) = self.running_on.get_mut(&server) {
             v.retain(|j| *j != id);
         }
@@ -404,10 +383,52 @@ mod tests {
         // The job's process exists on the chosen server.
         let sid = d[0].server;
         assert_eq!(servers[&sid].procs.live_count("lsf_job"), 1);
-        assert!(lsf.complete(id, &mut servers, SimTime::from_mins(30)));
-        assert!(lsf.job(id).unwrap().is_completed());
+        assert!(lsf.complete(id, &mut servers));
+        // A completed job leaves the table; the counters remember it.
+        assert!(lsf.job(id).is_none());
+        assert!(!lsf.complete(id, &mut servers));
         assert_eq!(servers[&sid].procs.live_count("lsf_job"), 0);
         assert_eq!(lsf.stats().completed, 1);
+    }
+
+    #[test]
+    fn job_table_holds_only_live_jobs() {
+        let mut servers = make_servers(2);
+        let mut lsf = cluster(2);
+        let ids: Vec<JobId> = (0..8)
+            .map(|i| {
+                let spec = JobSpec::defaults_for(JobKind::Report, format!("u{i}"));
+                lsf.submit(spec, SimTime::ZERO)
+            })
+            .collect();
+        // Two hosts with limit 3: six run, two stay pending.
+        let d = lsf.dispatch_pending(
+            &mut LeastLoadedSelector,
+            &mut servers,
+            |_| true,
+            SimTime::ZERO,
+        );
+        assert_eq!(d.len(), 6);
+        let failed = lsf.fail_all_on(
+            d[0].server,
+            FailReason::DbCrash,
+            &mut servers,
+            SimTime::ZERO,
+        );
+        for dispatch in &d {
+            if !failed.contains(&dispatch.job) {
+                assert!(lsf.complete(dispatch.job, &mut servers));
+            }
+        }
+        let live: Vec<JobId> = lsf.jobs().map(|j| j.id).collect();
+        let mut expect: Vec<JobId> = failed.iter().chain(&ids[6..]).copied().collect();
+        expect.sort();
+        assert_eq!(live, expect);
+        assert!(lsf
+            .jobs()
+            .all(|j| j.is_pending() || matches!(j.state, JobState::Failed { .. })));
+        assert_eq!(lsf.stats().completed, 6 - failed.len() as u64);
+        assert_eq!(lsf.pending_ids().collect::<Vec<_>>(), ids[6..].to_vec());
     }
 
     #[test]
@@ -557,7 +578,7 @@ mod tests {
         let mut servers = make_servers(1);
         let mut lsf = cluster(1);
         let id = lsf.submit(JobSpec::defaults_for(JobKind::Report, "u"), SimTime::ZERO);
-        assert!(!lsf.complete(id, &mut servers, SimTime::ZERO)); // still pending
+        assert!(!lsf.complete(id, &mut servers)); // still pending
         assert!(!lsf.fail(id, FailReason::Killed, &mut servers, SimTime::ZERO));
     }
 }

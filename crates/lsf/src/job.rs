@@ -95,11 +95,6 @@ pub enum JobState {
         /// When it will complete if nothing goes wrong.
         expected_end: SimTime,
     },
-    /// Finished successfully.
-    Completed {
-        /// Completion time.
-        at: SimTime,
-    },
     /// Failed; may be resubmitted (a fresh attempt re-enters `Pending`).
     Failed {
         /// Failure time.
@@ -180,11 +175,6 @@ impl Job {
         }
     }
 
-    /// Is the job in a terminal success state?
-    pub fn is_completed(&self) -> bool {
-        matches!(self.state, JobState::Completed { .. })
-    }
-
     /// Is the job currently running?
     pub fn is_running(&self) -> bool {
         matches!(self.state, JobState::Running { .. })
@@ -218,11 +208,12 @@ mod tests {
         );
         assert!(j.is_pending());
         assert!(!j.is_running());
-        j.state = JobState::Completed {
+        j.state = JobState::Failed {
             at: SimTime::from_mins(5),
+            reason: FailReason::Killed,
         };
-        assert!(j.is_completed());
         assert!(!j.is_pending());
+        assert!(!j.is_running());
     }
 
     #[test]

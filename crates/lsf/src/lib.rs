@@ -18,6 +18,7 @@ pub mod workload;
 pub use cluster::{db_crash_hazard_per_hour, db_crash_roll, Dispatch, LsfCluster, LsfStats};
 pub use job::{FailReason, Job, JobId, JobKind, JobSpec, JobState};
 pub use select::{
-    LeastLoadedSelector, ManualStickySelector, RandomSelector, ServerCandidate, ServerSelector,
+    CandidateView, LeastLoadedSelector, ManualStickySelector, RandomSelector, ServerCandidate,
+    ServerSelector,
 };
 pub use workload::{Arrival, WorkloadConfig, WorkloadGenerator};

@@ -504,17 +504,14 @@ pub struct SpillConfig {
     pub dir: PathBuf,
     /// Records per chunk file before rotating to the next chunk.
     pub chunk_records: usize,
-    /// Capacity of the in-memory tail kept for in-process consumers.
-    pub tail_capacity: usize,
 }
 
 impl SpillConfig {
-    /// Spill into `dir` with default chunking and tail retention.
+    /// Spill into `dir` with default chunking.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         SpillConfig {
             dir: dir.into(),
             chunk_records: DEFAULT_CHUNK_RECORDS,
-            tail_capacity: DEFAULT_TRACE_CAPACITY,
         }
     }
 }
@@ -544,14 +541,15 @@ pub struct SpillSink {
 }
 
 impl SpillSink {
-    /// A spill sink writing under `cfg.dir`. The directory is created
+    /// A spill sink writing under `cfg.dir` and keeping the last
+    /// `tail_capacity` events in memory. The directory is created
     /// lazily on the first record.
     ///
     /// # Panics
-    /// Panics if `cfg.chunk_records == 0` or `cfg.tail_capacity == 0`.
-    pub fn new(cfg: SpillConfig) -> Self {
+    /// Panics if `cfg.chunk_records == 0` or `tail_capacity == 0`.
+    pub fn new(cfg: SpillConfig, tail_capacity: usize) -> Self {
         assert!(cfg.chunk_records > 0, "spill chunk size must be positive");
-        let tail = CircularQueue::new(cfg.tail_capacity);
+        let tail = CircularQueue::new(tail_capacity);
         SpillSink {
             cfg,
             tail,
@@ -1015,10 +1013,7 @@ impl Trace {
     /// Panics if any configured capacity or chunk size is zero.
     pub fn with_options(opts: TraceOptions) -> Self {
         let sink: Box<dyn TraceSink> = match opts.spill {
-            Some(mut spill) => {
-                spill.tail_capacity = opts.capacity;
-                Box::new(SpillSink::new(spill))
-            }
+            Some(spill) => Box::new(SpillSink::new(spill, opts.capacity)),
             None => Box::new(RingSink::new(opts.capacity)),
         };
         let mut filter = [opts.only.is_none(); Subsystem::ALL.len()];
@@ -1333,7 +1328,6 @@ mod tests {
             spill: Some(SpillConfig {
                 dir: dir.clone(),
                 chunk_records: 10,
-                tail_capacity: 0, // overwritten by capacity
             }),
             ..TraceOptions::default()
         });
@@ -1454,7 +1448,6 @@ mod tests {
             spill: Some(SpillConfig {
                 dir: dir.clone(),
                 chunk_records: 7,
-                tail_capacity: 0,
             }),
             ..TraceOptions::default()
         });
@@ -1487,7 +1480,6 @@ mod tests {
             spill: Some(SpillConfig {
                 dir: dir.clone(),
                 chunk_records: 100,
-                tail_capacity: 0,
             }),
             ..TraceOptions::default()
         });

@@ -148,7 +148,7 @@ fn run_policy(policy: &str) -> (u64, u64) {
             .map(|j| j.id)
             .collect();
         for id in done {
-            lsf.complete(id, &mut servers, now);
+            lsf.complete(id, &mut servers);
         }
     }
     let _ = now;

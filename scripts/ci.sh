@@ -32,6 +32,12 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== batch_rescheduling output is unchanged (the policy comparison no benchmark runs)"
+# The only run of LeastLoadedSelector and of a standalone LsfCluster;
+# results/batch_rescheduling.txt is its committed output.
+cargo run -q --release --example batch_rescheduling > target/batch_rescheduling.out
+diff results/batch_rescheduling.txt target/batch_rescheduling.out
+
 echo "== qosbench tests (the benchmark is its own workspace; this builds it against the crates)"
 cargo test -q --offline --manifest-path qosbench/Cargo.toml
 
