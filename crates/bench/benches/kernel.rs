@@ -3,9 +3,7 @@
 
 use intelliqos_bench::{black_box, criterion_group, criterion_main, Criterion};
 
-use intelliqos_simkern::{
-    CircularQueue, EventQueue, SimDuration, SimRng, SimTime, Subsystem, TimeSeries, Trace,
-};
+use intelliqos_simkern::{CircularQueue, EventQueue, SimRng, SimTime, Subsystem, Trace};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue/schedule_pop_10k", |b| {
@@ -116,15 +114,6 @@ fn bench_collections(c: &mut Criterion) {
                 q.push(i);
             }
             black_box(q.len())
-        })
-    });
-    c.bench_function("timeseries/push_and_resample", |b| {
-        b.iter(|| {
-            let mut ts = TimeSeries::new();
-            for i in 0..2_000u64 {
-                ts.push(SimTime::from_secs(i * 30), (i % 100) as f64);
-            }
-            black_box(ts.resample_mean(SimTime::ZERO, SimDuration::from_mins(30), 32))
         })
     });
 }

@@ -15,7 +15,7 @@ use intelliqos_bench::{banner, emit_run_evidence, maybe_build_evdb, run_world, H
 use intelliqos_core::{AgentParts, ManagementMode, ScenarioReport, World};
 
 fn main() {
-    let opts = HarnessOpts::parse(21);
+    let opts = HarnessOpts::parse(21, &[]);
     banner("ABL-PARTS", "which of the five agent parts buys what");
     println!("seed={} horizon={}d per variant\n", opts.seed, opts.days);
 

@@ -15,7 +15,7 @@ use intelliqos_simkern::SimDuration;
 use intelliqos_telemetry::AgentFootprint;
 
 fn main() {
-    let opts = HarnessOpts::parse(21);
+    let opts = HarnessOpts::parse(21, &[]);
     banner("ABL-FREQ", "agent wake-period sweep (downtime vs overhead)");
     println!("seed={} horizon={}d per point\n", opts.seed, opts.days);
 

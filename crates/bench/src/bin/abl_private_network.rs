@@ -40,7 +40,7 @@ fn segment_report(w: &mut World, label: &str) {
 }
 
 fn main() {
-    let opts = HarnessOpts::parse(7);
+    let opts = HarnessOpts::parse(7, &[]);
     banner(
         "ABL-NET",
         "private agent LAN: load absorption and outage fallback",

@@ -83,7 +83,7 @@ fn write_bench_json(
 }
 
 fn main() {
-    let opts = HarnessOpts::parse(365);
+    let opts = HarnessOpts::parse(365, &[]);
     banner(
         "FIG2",
         "downtime by error category, year before vs year after (paired tapes)",

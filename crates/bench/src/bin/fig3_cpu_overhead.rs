@@ -17,7 +17,7 @@ use intelliqos_simkern::SimRng;
 use intelliqos_telemetry::AgentFootprint;
 
 fn main() {
-    let opts = HarnessOpts::parse(1);
+    let opts = HarnessOpts::parse(1, &[]);
     banner("FIG3", "monitoring CPU % at peak, 8 samples every 30 min");
 
     let bmc = ResidentMonitorFootprint::default();

@@ -13,7 +13,7 @@ use intelliqos_simkern::SimRng;
 use intelliqos_telemetry::AgentFootprint;
 
 fn main() {
-    let opts = HarnessOpts::parse(1);
+    let opts = HarnessOpts::parse(1, &[]);
     banner(
         "FIG4",
         "monitoring resident memory (MB) at peak, 8 samples every 30 min",

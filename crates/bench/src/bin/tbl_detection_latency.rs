@@ -21,7 +21,7 @@ use intelliqos_cluster::faults::FaultCategory;
 use intelliqos_simkern::{SimDuration, SimRng, SimTime};
 
 fn main() {
-    let opts = HarnessOpts::parse(21);
+    let opts = HarnessOpts::parse(21, &[]);
     banner(
         "T-DET",
         "fault detection latency: human console watch vs agent sweeps",

@@ -16,7 +16,7 @@ use intelliqos_cluster::faults::{Complexity, FaultCategory};
 use intelliqos_simkern::SimRng;
 
 fn main() {
-    let opts = HarnessOpts::parse(21);
+    let opts = HarnessOpts::parse(21, &[]);
     banner(
         "T-MTTR",
         "repair time: human pipeline vs agent self-healing",

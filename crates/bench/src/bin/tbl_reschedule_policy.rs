@@ -15,7 +15,7 @@ use intelliqos_cluster::faults::FaultCategory;
 use intelliqos_core::{ManagementMode, ReschedPolicy, ScenarioReport, World};
 
 fn main() {
-    let opts = HarnessOpts::parse(21);
+    let opts = HarnessOpts::parse(21, &[]);
     banner(
         "T-RESCHED",
         "failed-job resubmission policy comparison (agents mode)",

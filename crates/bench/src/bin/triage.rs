@@ -180,7 +180,7 @@ fn evidence_incident(id: u64, evdb_dir: Option<&str>, evidence_dir: Option<&str>
 }
 
 fn main() {
-    let opts = HarnessOpts::parse(14);
+    let opts = HarnessOpts::parse(14, &["--incident", "--evidence"]);
     let args: Vec<String> = std::env::args().collect();
     let incident: Option<u64> = args
         .iter()

@@ -26,6 +26,9 @@
 //!   error budget (default `service`: only actionable service faults
 //!   page; `all` restores the pre-taxonomy behaviour).
 //!
+//! Any other argument, `--help` included, prints the usage to stderr
+//! and exits with status 2 before a world is built.
+//!
 //! Instrumented runs also drop a schema-validated `slo_report`
 //! (`<bin>_<label>_slo.json`) with per-service availability, downtime
 //! budgets, MTTR, and burn-rate alerts.
@@ -112,13 +115,41 @@ impl HarnessOpts {
     /// `--trace-file DIR`, `--trace-cap N`, `--trace-only tag[,tag...]`,
     /// `--evdb DIR`, and
     /// `--scope all|service|client` from `std::env::args`, with the
-    /// given default horizon.
-    pub fn parse(default_days: u64) -> HarnessOpts {
-        Self::parse_from(std::env::args().skip(1), default_days)
+    /// given default horizon. `own` names the flags (each taking one
+    /// value) that the binary parses itself. Any other argument prints
+    /// the usage to stderr and exits with status 2.
+    pub fn parse(default_days: u64, own: &[&str]) -> HarnessOpts {
+        let mut args = std::env::args();
+        let bin = args.next().unwrap_or_default();
+        let bin = Path::new(&bin)
+            .file_name()
+            .map_or(bin.clone(), |b| b.to_string_lossy().into_owned());
+        match Self::parse_from(args, default_days, own) {
+            Ok(opts) => opts,
+            Err(arg) => {
+                if arg != "--help" {
+                    eprintln!("{bin}: unknown argument {arg}");
+                }
+                let own: String = own.iter().map(|f| format!(" [{f} VALUE]")).collect();
+                eprintln!(
+                    "usage: {bin} [--seed N] [--days N] [--full] [--profile] [--trace] \
+                     [--trace-file DIR] [--trace-cap N] [--trace-only tag[,tag...]] \
+                     [--evdb DIR] [--scope all|service|client]{own}"
+                );
+                std::process::exit(2);
+            }
+        }
     }
 
-    /// [`HarnessOpts::parse`] over an explicit argument list (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>, default_days: u64) -> HarnessOpts {
+    /// [`HarnessOpts::parse`] over an explicit argument list (testable):
+    /// the first argument that is neither a common flag nor one of `own`
+    /// is the error. A bad value of a known flag is ignored with a
+    /// message.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        default_days: u64,
+        own: &[&str],
+    ) -> Result<HarnessOpts, String> {
         let args: Vec<String> = args.into_iter().collect();
         let mut opts = HarnessOpts {
             seed: 11,
@@ -200,11 +231,12 @@ impl HarnessOpts {
                     }
                     i += 1;
                 }
-                _ => {}
+                flag if own.contains(&flag) => i += 1,
+                other => return Err(other.to_string()),
             }
             i += 1;
         }
-        opts
+        Ok(opts)
     }
 
     /// Whether this invocation runs traced at all (`--trace`, or any of
@@ -456,7 +488,7 @@ mod tests {
 
     #[test]
     fn annualize_scales() {
-        let opts = HarnessOpts::parse_from(std::iter::empty::<String>(), 73);
+        let opts = HarnessOpts::parse_from(std::iter::empty::<String>(), 73, &[]).unwrap();
         assert!((opts.annualize() - 5.0).abs() < 1e-9);
         let full = HarnessOpts { full: true, ..opts };
         assert_eq!(full.annualize(), 1.0);
@@ -477,7 +509,7 @@ mod tests {
             "out/evdb",
         ]
         .map(String::from);
-        let opts = HarnessOpts::parse_from(args, 365);
+        let opts = HarnessOpts::parse_from(args, 365, &[]).unwrap();
         assert_eq!(opts.seed, 7);
         assert!(!opts.trace, "--trace itself was not passed");
         assert!(opts.traced(), "trace-shaping flags imply tracing");
@@ -500,32 +532,53 @@ mod tests {
         // A zero, unparsable or per-subsystem capacity is a bad value:
         // ignored with a message, never a zero-sized ring that panics.
         for bad in ["0", "many", "fault=4096"] {
-            let opts = HarnessOpts::parse_from(["--trace-cap", bad].map(String::from), 1);
+            let opts =
+                HarnessOpts::parse_from(["--trace-cap", bad].map(String::from), 1, &[]).unwrap();
             assert_eq!(opts.trace_cap, None, "--trace-cap {bad} must not parse");
             assert!(!opts.traced(), "--trace-cap {bad} must not imply tracing");
         }
         // Any unknown tag makes the whole list a bad value, so a typo
         // never narrows the recording to the tags that happened to parse.
         for bad in ["fault,agnet", "agnet", "fault,"] {
-            let opts = HarnessOpts::parse_from(["--trace-only", bad].map(String::from), 1);
+            let opts =
+                HarnessOpts::parse_from(["--trace-only", bad].map(String::from), 1, &[]).unwrap();
             assert_eq!(opts.trace_only, None, "--trace-only {bad} must not parse");
             assert!(!opts.traced(), "--trace-only {bad} must not imply tracing");
         }
     }
 
     #[test]
+    fn unknown_arguments_are_errors_but_own_flags_pass() {
+        for (args, unknown) in [
+            (&["--help"][..], "--help"),
+            (&["--seed", "7", "--seeed", "8"], "--seeed"),
+            (&["14"], "14"),
+            (&["--incident", "3"], "--incident"),
+        ] {
+            let args = args.iter().map(|a| a.to_string());
+            assert_eq!(HarnessOpts::parse_from(args, 7, &[]).unwrap_err(), unknown);
+        }
+        // A binary's own flags and their values are skipped, never
+        // mistaken for common flags.
+        let args = ["--incident", "--seed", "--seed", "5", "--evidence", "dir"].map(String::from);
+        let opts = HarnessOpts::parse_from(args, 7, &["--incident", "--evidence"]).unwrap();
+        assert_eq!(opts.seed, 5);
+        assert!(!opts.traced());
+    }
+
+    #[test]
     fn scope_flag_parses_and_reaches_the_scenario() {
-        let opts = HarnessOpts::parse_from(std::iter::empty::<String>(), 7);
+        let opts = HarnessOpts::parse_from(std::iter::empty::<String>(), 7, &[]).unwrap();
         assert_eq!(opts.scope, SloScope::Service, "actionable-only default");
         let args = ["--scope", "all"].map(String::from);
-        let opts = HarnessOpts::parse_from(args, 7);
+        let opts = HarnessOpts::parse_from(args, 7, &[]).unwrap();
         assert_eq!(opts.scope, SloScope::All);
         let cfg = opts.site(ManagementMode::ManualOps);
         assert_eq!(cfg.slo.burn_scope, SloScope::All);
         // `abort` and garbage are rejected, keeping the default.
         for bad in ["abort", "everything"] {
             let args = ["--scope", bad].map(String::from);
-            let opts = HarnessOpts::parse_from(args, 7);
+            let opts = HarnessOpts::parse_from(args, 7, &[]).unwrap();
             assert_eq!(opts.scope, SloScope::Service, "{bad} must not parse");
         }
     }

@@ -138,13 +138,39 @@ enum Undo {
     ClearExternalLoad(ServerId),
 }
 
-/// Bookkeeping for a fault whose effect is still live.
+/// One open incident: a fault whose effect is still live.
 #[derive(Debug, Clone)]
 struct OpenFault {
     incident: IncidentId,
-    mechanism: FaultMechanism,
+    /// The injected mechanism; `None` for an endogenous database crash.
+    mechanism: Option<FaultMechanism>,
     server: Option<ServerId>,
     undo: Undo,
+    /// Who is restarting the service of an [`Undo::RestartService`]
+    /// incident, if anyone. The incident closes when the service is
+    /// ready again, as that actor's repair (a human's if nobody's).
+    restarting: Option<Actor>,
+}
+
+/// What opened an incident.
+#[derive(Debug, Clone, Copy)]
+enum Cause {
+    /// A fault-tape entry; its `inject` event is the last one traced.
+    Injected(FaultEvent),
+    /// An endogenous crash of the database on `host` that failed
+    /// `jobs_lost` running jobs.
+    DbCrash { host: ServerId, jobs_lost: usize },
+}
+
+/// Who repairs a fault, given the power of the agents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Repair {
+    /// Agents with full power heal it in a sweep.
+    Agents,
+    /// The admin sweep re-enables a disabled agent crontab.
+    Admin,
+    /// A human, paged at the next sweep by agents that can see it.
+    Human,
 }
 
 /// Dispatch policy wrapper: first attempts follow the users' manual
@@ -255,8 +281,8 @@ pub struct World {
     queue: EventQueue<WorldEvent>,
     fault_tape: Vec<FaultEvent>,
     workload_tape: Vec<Arrival>,
+    /// Open incidents, in incident order.
     open_faults: Vec<OpenFault>,
-    open_by_service: BTreeMap<ServiceId, (IncidentId, bool)>,
     cron_enabled: BTreeMap<ServerId, bool>,
     job_tokens: BTreeMap<JobId, EventToken>,
 
@@ -525,7 +551,6 @@ impl World {
             fault_tape,
             workload_tape,
             open_faults: Vec::new(),
-            open_by_service: BTreeMap::new(),
             perf: BTreeMap::new(),
             active_breaches: BTreeSet::new(),
             cron_enabled,
@@ -984,28 +1009,6 @@ impl World {
         }
     }
 
-    /// Schedule the human pipeline for a fault the agents cannot (or are
-    /// not allowed to) heal, with detection depending on capability.
-    fn schedule_fallback_repair(
-        &mut self,
-        inc: IncidentId,
-        now: SimTime,
-        cat: FaultCategory,
-        latent: bool,
-        complexity: Complexity,
-    ) {
-        match self.repair_power() {
-            RepairPower::Full => {} // agents will heal it
-            RepairPower::DetectOnly => {
-                let detected = self.next_sweep(now);
-                self.schedule_manual_repair(inc, now, cat, false, complexity, Some(detected));
-            }
-            RepairPower::Blind => {
-                self.schedule_manual_repair(inc, now, cat, latent, complexity, None);
-            }
-        }
-    }
-
     fn sync_lsf_master(&mut self) {
         self.lsf.master_up = self
             .registry
@@ -1070,40 +1073,23 @@ impl World {
             .fail_all_on(sid, FailReason::DbCrash, &mut self.servers, now);
         self.cancel_job_events(&failed);
         self.sync_lsf_master();
-        // One incident per crash (unless one is already open).
-        if self.open_by_service.contains_key(&svc) {
+        // One incident per crash (unless one is already open). Full
+        // agents restart it at the next sweep; anything less falls back
+        // to humans (overnight/weekend crashes sit unseen under the
+        // console-watch detection windows).
+        if self.restart_incident(svc).is_some() {
             return;
         }
-        let inc = self.ledger.open_scoped(
-            FaultCategory::MidJobDbCrash,
-            self.slo_key_service(svc),
-            format!(
-                "database on {sid} crashed mid-job ({} jobs lost)",
-                failed.len()
-            ),
+        let jobs_lost = failed.len();
+        self.open_incident(
+            Cause::DbCrash {
+                host: sid,
+                jobs_lost,
+            },
+            Undo::RestartService(svc),
+            format!("database on {sid} crashed mid-job ({jobs_lost} jobs lost)"),
+            Repair::Agents,
             now,
-        );
-        let lost = failed.len();
-        self.trace
-            .emit_corr(now, Subsystem::Fault, "db-crash", Some(inc.0), || {
-                format!("inc={inc} server={sid} jobs_lost={lost}")
-            });
-        self.open_by_service.insert(svc, (inc, false));
-        self.open_faults.push(OpenFault {
-            incident: inc,
-            mechanism: FaultMechanism::ServiceBug, // placeholder; endogenous
-            server: Some(sid),
-            undo: Undo::RestartService(svc),
-        });
-        // Full agents restart it at the next sweep; anything less falls
-        // back to humans (overnight/weekend crashes sit unseen under the
-        // console-watch detection windows).
-        self.schedule_fallback_repair(
-            inc,
-            now,
-            FaultCategory::MidJobDbCrash,
-            false,
-            Complexity::Simple,
         );
     }
 
@@ -1255,484 +1241,297 @@ impl World {
     }
 
     fn on_fault(&mut self, fault: FaultEvent, now: SimTime) {
-        use FaultMechanism::*;
         self.metrics.inc("faults.injected");
-        let cat = fault.mechanism.category();
-        let agents = self.cfg.mode == ManagementMode::Intelliagents;
         // Resolve the target with exactly one draw so both modes stay
         // tape-aligned.
         let target = self.pick_target(fault.target);
         self.trace.emit(now, Subsystem::Fault, "inject", || {
             format!(
-                "mech={:?} cat={cat:?} target={} latent={}",
+                "mech={:?} cat={:?} target={} latent={}",
                 fault.mechanism,
+                fault.mechanism.category(),
                 target.map(|s| s.to_string()).unwrap_or_else(|| "-".into()),
                 fault.latent
             )
         });
+        self.apply_fault(fault, target, now);
+    }
 
-        // Helper closures cannot borrow self mutably twice; work inline.
-        match fault.mechanism {
+    /// Apply an injected fault to `target` and open its incident.
+    fn apply_fault(&mut self, fault: FaultEvent, target: Option<ServerId>, now: SimTime) {
+        if let Some((undo, description, repair)) = self.fault_effect(fault, target, now) {
+            self.open_incident(Cause::Injected(fault), undo, description, repair, now);
+        }
+    }
+
+    /// Break what `fault` breaks on `target`. Returns how the effect is
+    /// undone, the incident's description and who repairs it; `None`
+    /// when the fault finds nothing to break (its host is down, or its
+    /// service is already broken).
+    fn fault_effect(
+        &mut self,
+        fault: FaultEvent,
+        target: Option<ServerId>,
+        now: SimTime,
+    ) -> Option<(Undo, String, Repair)> {
+        use FaultMechanism::*;
+        let mech = fault.mechanism;
+        let up = target.filter(|sid| self.servers[sid].is_up());
+        Some(match mech {
             ObscureSlowdown => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                {
-                    let server = self.servers.get_mut(&sid).expect("target exists");
-                    let cap = server.effective_spec().compute_power();
-                    server.external_cpu_demand += cap * 0.3;
-                }
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("obscure slowdown on {sid}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::ClearExternalLoad(sid),
-                });
+                let sid = up?;
+                let server = self.servers.get_mut(&sid).expect("target exists");
+                let cap = server.effective_spec().compute_power();
+                server.external_cpu_demand += cap * 0.3;
                 // No single guilty process: agents detect the breach and
                 // "suggest what may be wrong" but a human must dig.
-                let fast = agents && self.repair_power() != RepairPower::Blind;
-                let detected_at = if fast {
-                    Some(self.next_sweep(now))
-                } else {
-                    None
-                };
-                self.schedule_manual_repair(
-                    inc,
-                    now,
-                    cat,
-                    fault.latent && !fast,
-                    fault.complexity,
-                    detected_at,
-                );
+                let description = format!("obscure slowdown on {sid}");
+                (Undo::ClearExternalLoad(sid), description, Repair::Human)
             }
             RunawayProcess | MemoryLeak | DiskFill => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                let undo = {
-                    let server = self.servers.get_mut(&sid).expect("target exists");
-                    match fault.mechanism {
-                        RunawayProcess => {
-                            let cap = server.effective_spec().compute_power();
-                            server.procs.spawn(
-                                "runaway",
-                                "tight-loop",
-                                "app",
-                                cap * 1.2,
-                                64.0,
-                                0.0,
-                                now,
-                            );
-                            Undo::KillProcess(sid, "runaway".into())
-                        }
-                        MemoryLeak => {
-                            let ram = server.effective_spec().ram_gb as f64 * 1024.0;
-                            server
-                                .procs
-                                .spawn("leaky", "grows", "app", 0.2, ram * 0.85, 0.0, now);
-                            Undo::KillProcess(sid, "leaky".into())
-                        }
-                        _ => {
-                            fill_logs(&mut server.fs, now);
-                            Undo::RotateLogs(sid)
-                        }
+                let sid = up?;
+                let server = self.servers.get_mut(&sid).expect("target exists");
+                let undo = match mech {
+                    RunawayProcess => {
+                        let cap = server.effective_spec().compute_power();
+                        server.procs.spawn(
+                            "runaway",
+                            "tight-loop",
+                            "app",
+                            cap * 1.2,
+                            64.0,
+                            0.0,
+                            now,
+                        );
+                        Undo::KillProcess(sid, "runaway".into())
+                    }
+                    MemoryLeak => {
+                        let ram = server.effective_spec().ram_gb as f64 * 1024.0;
+                        server
+                            .procs
+                            .spawn("leaky", "grows", "app", 0.2, ram * 0.85, 0.0, now);
+                        Undo::KillProcess(sid, "leaky".into())
+                    }
+                    _ => {
+                        fill_logs(&mut server.fs, now);
+                        Undo::RotateLogs(sid)
                     }
                 };
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("{:?} on {sid}", fault.mechanism),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo,
-                });
-                self.schedule_fallback_repair(inc, now, cat, fault.latent, fault.complexity);
+                (undo, format!("{mech:?} on {sid}"), Repair::Agents)
             }
-            DaemonKilled | ConfigCorrupted => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                // Prefer the most important service on the box.
-                let Some(svc) = self.service_on(sid) else {
-                    return;
-                };
-                if self.open_by_service.contains_key(&svc) {
-                    return;
-                }
-                if !self
-                    .registry
-                    .get(svc)
-                    .map(|s| s.status.is_serving())
-                    .unwrap_or(false)
-                {
-                    return;
-                }
+            DaemonKilled | ConfigCorrupted | FrontEndHang | FrontEndCrash | LsfMasterCrash
+            | LsfQueueStuck | ServiceCorruption | ServiceBug => {
+                let sid = up?;
+                let svc = self.breakable_service_on(sid)?;
                 {
                     let server = self.servers.get_mut(&sid).expect("target exists");
                     let instance = self.registry.get_mut(svc).expect("svc exists");
-                    if fault.mechanism == DaemonKilled {
-                        instance.crash(server);
-                    } else {
-                        instance.hang();
-                    }
-                }
-                let failed = self
-                    .lsf
-                    .fail_all_on(sid, FailReason::DbCrash, &mut self.servers, now);
-                self.cancel_job_events(&failed);
-                self.sync_lsf_master();
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_service(svc),
-                    format!("{:?} on {sid}", fault.mechanism),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_by_service.insert(svc, (inc, false));
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::RestartService(svc),
-                });
-                self.schedule_fallback_repair(inc, now, cat, fault.latent, fault.complexity);
-            }
-            CrontabDisabled => {
-                let Some(sid) = target else { return };
-                if !agents {
-                    // Year 1 has no agent crontab; a disabled monitoring
-                    // cron is a minor incident found during rounds.
-                    let inc = self.ledger.open_scoped(
-                        cat,
-                        self.slo_key_host(sid),
-                        format!("monitoring cron disabled on {sid}"),
-                        now,
-                    );
-                    self.trace.correlate_last(inc.0);
-                    self.open_faults.push(OpenFault {
-                        incident: inc,
-                        mechanism: fault.mechanism,
-                        server: Some(sid),
-                        undo: Undo::EnableCron(sid),
-                    });
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        None,
-                    );
-                    return;
-                }
-                self.cron_enabled.insert(sid, false);
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("agent crontab disabled on {sid}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::EnableCron(sid),
-                });
-                // The admin sweep finds the missing flags and repairs —
-                // but only when agents are actually producing flags.
-                if self.repair_power() == RepairPower::Blind {
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        None,
-                    );
-                }
-            }
-            NtpBroken => {
-                let Some(sid) = target else { return };
-                if let Some(server) = self.servers.get_mut(&sid) {
-                    server.ntp_synced = false;
-                }
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("NTP broken on {sid}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::FixNtp(sid),
-                });
-                self.schedule_fallback_repair(inc, now, cat, fault.latent, fault.complexity);
-            }
-            FrontEndHang | FrontEndCrash | LsfMasterCrash | LsfQueueStuck | ServiceCorruption
-            | ServiceBug => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                let Some(svc) = self.service_on(sid) else {
-                    return;
-                };
-                if self.open_by_service.contains_key(&svc)
-                    || !self
-                        .registry
-                        .get(svc)
-                        .map(|s| s.status.is_serving())
-                        .unwrap_or(false)
-                {
-                    return;
-                }
-                {
-                    let server = self.servers.get_mut(&sid).expect("target exists");
-                    let instance = self.registry.get_mut(svc).expect("svc exists");
-                    match fault.mechanism {
-                        FrontEndCrash | LsfMasterCrash => instance.crash(server),
+                    match mech {
+                        DaemonKilled | FrontEndCrash | LsfMasterCrash => instance.crash(server),
                         ServiceCorruption => instance.corrupt(server),
                         _ => instance.hang(),
                     }
                 }
-                if matches!(fault.mechanism, LsfMasterCrash | LsfQueueStuck) {
-                    self.sync_lsf_master();
-                }
-                if matches!(fault.mechanism, ServiceCorruption | ServiceBug) {
-                    // Databases dying completely also kill their jobs.
+                // Databases dying completely also kill their jobs.
+                if matches!(
+                    mech,
+                    DaemonKilled | ConfigCorrupted | ServiceCorruption | ServiceBug
+                ) {
                     let failed =
                         self.lsf
                             .fail_all_on(sid, FailReason::DbCrash, &mut self.servers, now);
                     self.cancel_job_events(&failed);
                 }
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_service(svc),
-                    format!("{:?} on {sid}", fault.mechanism),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_by_service.insert(svc, (inc, false));
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::RestartService(svc),
-                });
-                self.schedule_fallback_repair(inc, now, cat, fault.latent, fault.complexity);
+                if matches!(
+                    mech,
+                    DaemonKilled | ConfigCorrupted | LsfMasterCrash | LsfQueueStuck
+                ) {
+                    self.sync_lsf_master();
+                }
+                let description = format!("{mech:?} on {sid}");
+                (Undo::RestartService(svc), description, Repair::Agents)
+            }
+            CrontabDisabled => {
+                let sid = target?;
+                // Year 1 has no agent crontab: a disabled monitoring cron
+                // is a minor incident found during rounds. Under agents
+                // the admin sweep finds the missing flags and repairs it.
+                let description = if self.cfg.mode == ManagementMode::Intelliagents {
+                    self.cron_enabled.insert(sid, false);
+                    format!("agent crontab disabled on {sid}")
+                } else {
+                    format!("monitoring cron disabled on {sid}")
+                };
+                (Undo::EnableCron(sid), description, Repair::Admin)
+            }
+            NtpBroken => {
+                let sid = target?;
+                if let Some(server) = self.servers.get_mut(&sid) {
+                    server.ntp_synced = false;
+                }
+                let description = format!("NTP broken on {sid}");
+                (Undo::FixNtp(sid), description, Repair::Agents)
             }
             FirewallMisrule => {
-                let Some(sid) = self.pick_target(TargetClass::AnyServer) else {
-                    return;
-                };
+                let sid = self.pick_target(TargetClass::AnyServer)?;
                 let seg = self.public_segs[self.rng_target.index(self.public_segs.len().max(1))];
                 self.fabric.set_firewall_block(seg, sid, true);
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    "network".to_string(),
-                    format!("firewall rule blocks {sid} on {seg}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::UnblockFirewall(seg, sid),
-                });
-                // Not agent-healable: detection fast (agents) or human
-                // (manual); repair is always human.
-                if agents && self.repair_power() != RepairPower::Blind {
-                    let detected = self.next_sweep(now);
+                if self.repair_power() != RepairPower::Blind {
+                    let at = self.next_sweep(now);
                     self.bus.page(
-                        detected,
-                        format!("{sid}"),
+                        at,
+                        sid.to_string(),
                         "firewall misconfiguration detected",
                         "agents cannot heal network faults; paging network team",
                     );
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        Some(detected),
-                    );
-                } else {
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        None,
-                    );
                 }
+                let description = format!("firewall rule blocks {sid} on {seg}");
+                (Undo::UnblockFirewall(seg, sid), description, Repair::Human)
             }
             SegmentOutage => {
                 // The private agent LAN is the dedicated, mostly-idle
                 // network — outages there exercise the reroute path.
                 let seg = self.private_seg;
                 self.fabric.set_segment_up(seg, false);
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    "network".to_string(),
-                    format!("segment {seg} down"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: None,
-                    undo: Undo::SegmentUp(seg),
-                });
-                if agents && self.repair_power() != RepairPower::Blind {
-                    let detected = self.next_sweep(now);
+                if self.repair_power() != RepairPower::Blind {
+                    let at = self.next_sweep(now);
                     self.bus.page(
-                        detected,
+                        at,
                         "admin-1",
                         "private agent LAN down; rerouting over public",
                         "agent traffic rerouted automatically",
                     );
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        Some(detected),
-                    );
-                } else {
-                    self.schedule_manual_repair(
-                        inc,
-                        now,
-                        cat,
-                        fault.latent,
-                        fault.complexity,
-                        None,
-                    );
                 }
+                let description = format!("segment {seg} down");
+                (Undo::SegmentUp(seg), description, Repair::Human)
             }
             ComponentDegrade(class) => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                {
-                    let server = self.servers.get_mut(&sid).expect("target exists");
-                    server.set_component_health(class, 0, ComponentHealth::Degraded);
-                }
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("{class} degrading on {sid}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: fault.mechanism,
-                    server: Some(sid),
-                    undo: Undo::RepairComponent(sid, class),
-                });
-                let power = self.repair_power();
-                if agents && power != RepairPower::Blind {
-                    if !class.software_recoverable() || power == RepairPower::DetectOnly {
-                        // Agent detects from logs next sweep, pages an
-                        // engineer; replacement/offlining is human work.
-                        let detected = self.next_sweep(now);
-                        self.schedule_manual_repair(
-                            inc,
-                            now,
-                            cat,
-                            false,
-                            fault.complexity,
-                            Some(detected),
-                        );
-                    }
-                    // Recoverable classes with full power: the hardware
-                    // agent offlines the part next sweep (closed there).
+                let sid = up?;
+                let server = self.servers.get_mut(&sid).expect("target exists");
+                server.set_component_health(class, 0, ComponentHealth::Degraded);
+                // The hardware agent offlines a recoverable part itself;
+                // replacing any other is human work.
+                let repair = if class.software_recoverable() {
+                    Repair::Agents
                 } else {
-                    // Latent by nature in year 1 — found late.
-                    self.schedule_manual_repair(inc, now, cat, true, fault.complexity, None);
-                }
+                    Repair::Human
+                };
+                let description = format!("{class} degrading on {sid}");
+                (Undo::RepairComponent(sid, class), description, repair)
             }
             ComponentFail(class) => {
-                let Some(sid) = target else { return };
-                if !self.servers[&sid].is_up() {
-                    return;
-                }
-                let fatal = {
-                    let server = self.servers.get_mut(&sid).expect("target exists");
-                    server.set_component_health(class, 0, ComponentHealth::Failed);
-                    server.fatal_hardware_fault()
-                };
-                let inc = self.ledger.open_scoped(
-                    cat,
-                    self.slo_key_host(sid),
-                    format!("{class} failed on {sid}"),
-                    now,
-                );
-                self.trace.correlate_last(inc.0);
-                if fatal {
+                let sid = up?;
+                let server = self.servers.get_mut(&sid).expect("target exists");
+                server.set_component_health(class, 0, ComponentHealth::Failed);
+                let undo = if server.fatal_hardware_fault() {
                     // The machine goes down with everything on it.
-                    self.servers.get_mut(&sid).expect("target exists").crash();
+                    server.crash();
                     self.registry.on_server_crash(sid);
                     let failed =
                         self.lsf
                             .fail_all_on(sid, FailReason::ServerCrash, &mut self.servers, now);
                     self.cancel_job_events(&failed);
                     self.sync_lsf_master();
-                    self.open_faults.push(OpenFault {
-                        incident: inc,
-                        mechanism: fault.mechanism,
-                        server: Some(sid),
-                        undo: Undo::ServerRepair(sid),
-                    });
+                    Undo::ServerRepair(sid)
                 } else {
-                    self.open_faults.push(OpenFault {
-                        incident: inc,
-                        mechanism: fault.mechanism,
-                        server: Some(sid),
-                        undo: Undo::RepairComponent(sid, class),
-                    });
-                }
-                let fast = agents && self.repair_power() != RepairPower::Blind;
-                let detected_at = if fast {
-                    Some(self.next_sweep(now))
-                } else {
-                    None
+                    Undo::RepairComponent(sid, class)
                 };
-                self.schedule_manual_repair(
-                    inc,
-                    now,
-                    cat,
-                    fault.latent && !fast,
-                    fault.complexity,
-                    detected_at,
-                );
+                (undo, format!("{class} failed on {sid}"), Repair::Human)
+            }
+        })
+    }
+
+    /// Open the incident of a fault that just took effect: record it in
+    /// the ledger, tag the trace with it, add it to the open-incident
+    /// table, and schedule the human part of its repair, if any.
+    fn open_incident(
+        &mut self,
+        cause: Cause,
+        undo: Undo,
+        description: String,
+        repair: Repair,
+        now: SimTime,
+    ) {
+        let (mechanism, cat, complexity, latent) = match cause {
+            // A degrading part is latent by nature in year 1: found late.
+            Cause::Injected(f) => (
+                Some(f.mechanism),
+                f.mechanism.category(),
+                f.complexity,
+                f.latent || matches!(f.mechanism, FaultMechanism::ComponentDegrade(_)),
+            ),
+            Cause::DbCrash { .. } => (
+                None,
+                FaultCategory::MidJobDbCrash,
+                Complexity::Simple,
+                false,
+            ),
+        };
+        let (server, key) = self.scope(&undo);
+        let inc = self.ledger.open_scoped(cat, key, description, now);
+        match cause {
+            Cause::Injected(_) => self.trace.correlate_last(inc.0),
+            Cause::DbCrash { host, jobs_lost } => {
+                self.trace
+                    .emit_corr(now, Subsystem::Fault, "db-crash", Some(inc.0), || {
+                        format!("inc={inc} server={host} jobs_lost={jobs_lost}")
+                    })
             }
         }
+        self.open_faults.push(OpenFault {
+            incident: inc,
+            mechanism,
+            server,
+            undo,
+            restarting: None,
+        });
+        let detected_at = match (repair, self.repair_power()) {
+            // No agent sees it: humans find it on their own.
+            (_, RepairPower::Blind) => None,
+            // Agents heal it, or the admin sweep re-enables the crontab.
+            (Repair::Agents, RepairPower::Full) | (Repair::Admin, _) => return,
+            // Agents detect it at the next sweep and page a human.
+            _ => Some(self.next_sweep(now)),
+        };
+        self.schedule_manual_repair(inc, now, cat, latent, complexity, detected_at);
+    }
+
+    /// The host an open fault sits on and the SLO key its downtime is
+    /// charged to.
+    fn scope(&self, undo: &Undo) -> (Option<ServerId>, String) {
+        match *undo {
+            Undo::RestartService(svc) => (
+                self.registry.get(svc).map(|s| s.server),
+                self.slo_key_service(svc),
+            ),
+            Undo::SegmentUp(_) => (None, "network".to_string()),
+            Undo::UnblockFirewall(_, sid) => (Some(sid), "network".to_string()),
+            Undo::KillProcess(sid, _)
+            | Undo::RotateLogs(sid)
+            | Undo::FixNtp(sid)
+            | Undo::EnableCron(sid)
+            | Undo::RepairComponent(sid, _)
+            | Undo::ServerRepair(sid)
+            | Undo::ClearExternalLoad(sid) => (Some(sid), self.slo_key_host(sid)),
+        }
+    }
+
+    /// Table position of the open incident that restarting `svc` closes.
+    fn restart_incident(&self, svc: ServiceId) -> Option<usize> {
+        self.open_faults
+            .iter()
+            .position(|of| of.undo == Undo::RestartService(svc))
+    }
+
+    /// The primary service on `sid`, if a fault can break it: it is
+    /// serving and has no open incident.
+    fn breakable_service_on(&self, sid: ServerId) -> Option<ServiceId> {
+        let svc = self.service_on(sid)?;
+        let serving = self
+            .registry
+            .get(svc)
+            .is_some_and(|s| s.status.is_serving());
+        (serving && self.restart_incident(svc).is_none()).then_some(svc)
     }
 
     /// SLO accounting key for a host-scoped incident: the hostname.
@@ -1830,7 +1629,8 @@ impl World {
                 if finding.diagnosis.is_none() {
                     continue;
                 }
-                if let Some((inc, _auto)) = self.open_by_service.get(&finding.service).copied() {
+                if let Some(idx) = self.restart_incident(finding.service) {
+                    let inc = self.open_faults[idx].incident;
                     self.ledger.detect(inc, now);
                     self.ledger.diagnose(inc, now);
                     let (svc, repairing) = (finding.service, finding.repair_completes.is_some());
@@ -1839,7 +1639,7 @@ impl World {
                             format!("inc={inc} service={svc:?} repairing={repairing}")
                         });
                     if let Some(ready) = finding.repair_completes {
-                        self.open_by_service.insert(finding.service, (inc, true));
+                        self.open_faults[idx].restarting = Some(Actor::Agent);
                         self.queue
                             .schedule(ready, WorldEvent::ServiceReady(finding.service));
                     }
@@ -1881,56 +1681,33 @@ impl World {
             .schedule(now + self.cfg.agent_period, WorldEvent::AgentSweep);
     }
 
+    /// Close the open faults on `sid` whose effect an agent removed.
     fn close_healed_local_faults(&mut self, sid: ServerId, now: SimTime) {
-        let mut closed = Vec::new();
-        for (idx, of) in self.open_faults.iter().enumerate() {
-            if of.server != Some(sid) {
-                continue;
-            }
-            let healed = match (&of.mechanism, &of.undo) {
-                (FaultMechanism::RunawayProcess, _) => {
-                    self.servers[&sid].procs.live_count("runaway") == 0
-                }
-                (FaultMechanism::MemoryLeak, _) => {
-                    self.servers[&sid].procs.live_count("leaky") == 0
-                }
-                (FaultMechanism::DiskFill, _) => {
-                    self.servers[&sid].fs.usage_fraction("/logs").unwrap_or(0.0) < 0.9
-                }
-                (FaultMechanism::NtpBroken, _) => self.servers[&sid].ntp_synced,
-                (FaultMechanism::ComponentDegrade(class), Undo::RepairComponent(_, _))
-                    if class.software_recoverable() =>
-                {
-                    self.servers[&sid].degraded_count(*class) == 0
-                }
-                _ => false,
-            };
-            if healed {
-                let action = match &of.mechanism {
-                    FaultMechanism::RunawayProcess => "kill-runaway",
-                    FaultMechanism::MemoryLeak => "kill-leaky",
-                    FaultMechanism::DiskFill => "rotate-logs",
-                    FaultMechanism::NtpBroken => "fix-ntp",
-                    FaultMechanism::ComponentDegrade(_) => "offline-component",
-                    _ => "local-heal",
+        use FaultMechanism::*;
+        let host = &self.servers[&sid];
+        let healed: Vec<(usize, &str)> = self
+            .open_faults
+            .iter()
+            .enumerate()
+            .filter(|(_, of)| of.server == Some(sid))
+            .filter_map(|(idx, of)| {
+                let (healed, action) = match of.mechanism? {
+                    RunawayProcess => (host.procs.live_count("runaway") == 0, "kill-runaway"),
+                    MemoryLeak => (host.procs.live_count("leaky") == 0, "kill-leaky"),
+                    DiskFill => (
+                        host.fs.usage_fraction("/logs").unwrap_or(0.0) < 0.9,
+                        "rotate-logs",
+                    ),
+                    NtpBroken => (host.ntp_synced, "fix-ntp"),
+                    ComponentDegrade(class) if class.software_recoverable() => {
+                        (host.degraded_count(class) == 0, "offline-component")
+                    }
+                    _ => return None,
                 };
-                let inc = of.incident;
-                self.ledger.detect(inc, now);
-                self.ledger.diagnose(inc, now);
-                self.ledger.restore(inc, now, Actor::Agent, action);
-                self.trace
-                    .emit_corr(now, Subsystem::Agent, "local-heal", Some(inc.0), || {
-                        format!("inc={inc} host={sid} action={action}")
-                    });
-                closed.push((idx, inc));
-            }
-        }
-        for &(idx, _) in closed.iter().rev() {
-            self.open_faults.remove(idx);
-        }
-        for (_, inc) in closed {
-            self.slo_observe(inc, now);
-        }
+                healed.then_some((idx, action))
+            })
+            .collect();
+        self.close_incidents(&healed, Actor::Agent, now);
     }
 
     fn on_admin_sweep(&mut self, now: SimTime) {
@@ -1944,23 +1721,16 @@ impl World {
                 .collect();
             for sid in disabled {
                 self.cron_enabled.insert(sid, true);
-                // Close the matching incident.
-                if let Some(idx) = self
+                // Re-enabling the crontab repairs every fault that
+                // disabled it.
+                let cron: Vec<(usize, &str)> = self
                     .open_faults
                     .iter()
-                    .position(|of| of.undo == Undo::EnableCron(sid))
-                {
-                    let of = self.open_faults.remove(idx);
-                    let inc = of.incident;
-                    self.ledger.detect(inc, now);
-                    self.ledger.diagnose(inc, now);
-                    self.ledger.restore(inc, now, Actor::Admin, "enable-cron");
-                    self.trace
-                        .emit_corr(now, Subsystem::Admin, "cron-repair", Some(inc.0), || {
-                            format!("inc={inc} host={sid}")
-                        });
-                    self.slo_observe(inc, now);
-                }
+                    .enumerate()
+                    .filter(|(_, of)| of.undo == Undo::EnableCron(sid))
+                    .map(|(idx, _)| (idx, "enable-cron"))
+                    .collect();
+                self.close_incidents(&cron, Actor::Admin, now);
             }
             // Resubmit failed batch jobs through the DGSPL policy.
             let failed = self.lsf.failed_ids();
@@ -2050,7 +1820,8 @@ impl World {
                 &mut self.rng_probe,
             );
             if let E2eResult::FailedAt { component, .. } = result {
-                if let Some((inc, _)) = self.open_by_service.get(&component).copied() {
+                if let Some(idx) = self.restart_incident(component) {
+                    let inc = self.open_faults[idx].incident;
                     self.ledger.detect(inc, now);
                     self.trace
                         .emit_corr(now, Subsystem::Agent, "e2e-fail", Some(inc.0), || {
@@ -2130,85 +1901,99 @@ impl World {
 
     // -- repair completion ---------------------------------------------
 
-    /// Close `inc` as a human repair and emit the matching trace line.
-    fn close_human(&mut self, inc: IncidentId, now: SimTime, action: &str) {
-        self.ledger.restore(inc, now, Actor::Human, action);
-        let action = action.to_string();
-        self.trace
-            .emit_corr(now, Subsystem::Manual, "restore", Some(inc.0), || {
-                format!("inc={inc} action={action}")
-            });
-        self.slo_observe(inc, now);
+    /// Close the open incidents at table positions `closing` (ascending),
+    /// each repaired by `actor` with its action: restore each in the
+    /// ledger and trace its repair, drop them from the table, then feed
+    /// each to the SLO tracker in the same order (so every repair line
+    /// precedes every `classified` line).
+    fn close_incidents(&mut self, closing: &[(usize, &str)], actor: Actor, now: SimTime) {
+        let mut closed = Vec::with_capacity(closing.len());
+        for &(idx, action) in closing {
+            let of = &self.open_faults[idx];
+            let inc = of.incident;
+            self.ledger.restore(inc, now, actor, action);
+            let corr = Some(inc.0);
+            match (actor, of.server) {
+                (Actor::Agent, _) if of.restarting == Some(Actor::Agent) => {
+                    self.trace
+                        .emit_corr(now, Subsystem::Agent, "restore", corr, || {
+                            format!("inc={inc} action={action}")
+                        })
+                }
+                (Actor::Agent, Some(host)) => {
+                    self.trace
+                        .emit_corr(now, Subsystem::Agent, "local-heal", corr, || {
+                            format!("inc={inc} host={host} action={action}")
+                        })
+                }
+                (Actor::Admin, Some(host)) => {
+                    self.trace
+                        .emit_corr(now, Subsystem::Admin, "cron-repair", corr, || {
+                            format!("inc={inc} host={host}")
+                        })
+                }
+                _ => self
+                    .trace
+                    .emit_corr(now, Subsystem::Manual, "restore", corr, || {
+                        format!("inc={inc} action={action}")
+                    }),
+            }
+            closed.push(inc);
+        }
+        for &(idx, _) in closing.iter().rev() {
+            self.open_faults.remove(idx);
+        }
+        for inc in closed {
+            self.slo_observe(inc, now);
+        }
     }
 
     fn on_manual_restore(&mut self, inc: IncidentId, now: SimTime) {
         let Some(idx) = self.open_faults.iter().position(|of| of.incident == inc) else {
             return; // already healed by an agent
         };
-        let of = self.open_faults.remove(idx);
-        match of.undo {
+        let action = match self.open_faults[idx].undo.clone() {
             Undo::RestartService(svc) => {
-                let (server_id, needs_restore, hung) = match self.registry.get(svc) {
-                    Some(s) => (
-                        s.server,
-                        s.status == ServiceStatus::Corrupted,
-                        s.status == ServiceStatus::Hung,
-                    ),
-                    None => {
-                        self.close_human(inc, now, "restart-service");
-                        return;
-                    }
-                };
-                let server_up = self
-                    .servers
-                    .get(&server_id)
-                    .map(|s| s.is_up())
-                    .unwrap_or(false);
-                if server_up {
-                    let server = self.servers.get_mut(&server_id).expect("server exists");
+                let sid = self.registry.get(svc).expect("svc exists").server;
+                if let Some(server) = self.servers.get_mut(&sid).filter(|s| s.is_up()) {
                     let instance = self.registry.get_mut(svc).expect("svc exists");
-                    if needs_restore {
+                    let (corrupted, hung) = (
+                        instance.status == ServiceStatus::Corrupted,
+                        instance.status == ServiceStatus::Hung,
+                    );
+                    if corrupted {
                         instance.restore();
                     }
                     if hung {
                         instance.stop(server);
                     }
-                    match instance.start(server, now) {
-                        Ok(ready) => {
-                            self.queue.schedule(ready, WorldEvent::ServiceReady(svc));
-                            // Incident closes at ServiceReady (auto=false).
-                            self.open_by_service.insert(svc, (inc, false));
-                            // Analysts resubmit their failed jobs once the
-                            // database is back (manual mode only; agents
-                            // resubmit from the admin sweep).
-                            if self.cfg.mode == ManagementMode::ManualOps {
-                                for id in self.lsf.failed_ids() {
-                                    self.lsf.resubmit(id);
-                                }
+                    if let Ok(ready) = instance.start(server, now) {
+                        // The incident closes when the service is ready.
+                        self.queue.schedule(ready, WorldEvent::ServiceReady(svc));
+                        self.open_faults[idx].restarting = Some(Actor::Human);
+                        // Analysts resubmit their failed jobs once the
+                        // database is back (manual mode only; agents
+                        // resubmit from the admin sweep).
+                        if self.cfg.mode == ManagementMode::ManualOps {
+                            for id in self.lsf.failed_ids() {
+                                self.lsf.resubmit(id);
                             }
-                            return; // don't close yet
                         }
-                        Err(_) => {
-                            self.close_human(inc, now, "restart-service");
-                            self.open_by_service.remove(&svc);
-                        }
+                        return;
                     }
-                } else {
-                    // Server itself is down (separate incident); this one
-                    // closes administratively.
-                    self.close_human(inc, now, "restart-service");
-                    self.open_by_service.remove(&svc);
                 }
+                // The restart failed, or the server itself is down (a
+                // separate incident): this one closes administratively.
+                "restart-service".to_string()
             }
-            Undo::KillProcess(sid, ref name) => {
+            Undo::KillProcess(sid, name) => {
                 if let Some(server) = self.servers.get_mut(&sid) {
-                    let pids: Vec<_> = server.procs.by_name(name).map(|p| p.pid).collect();
+                    let pids: Vec<_> = server.procs.by_name(&name).map(|p| p.pid).collect();
                     for pid in pids {
                         server.procs.kill(pid);
                     }
                 }
-                let action = format!("kill {name}");
-                self.close_human(inc, now, &action);
+                format!("kill {name}")
             }
             Undo::RotateLogs(sid) => {
                 if let Some(server) = self.servers.get_mut(&sid) {
@@ -2225,7 +2010,7 @@ impl World {
                         let _ = server.fs.remove(&v);
                     }
                 }
-                self.close_human(inc, now, "rotate-logs");
+                "rotate-logs".to_string()
             }
             Undo::ClearExternalLoad(sid) => {
                 if let Some(server) = self.servers.get_mut(&sid) {
@@ -2233,25 +2018,25 @@ impl World {
                     server.external_mem_gb = 0.0;
                     server.external_io_demand = 0.0;
                 }
-                self.close_human(inc, now, "clear-external-load");
+                "clear-external-load".to_string()
             }
             Undo::FixNtp(sid) => {
                 if let Some(server) = self.servers.get_mut(&sid) {
                     server.ntp_synced = true;
                 }
-                self.close_human(inc, now, "fix-ntp");
+                "fix-ntp".to_string()
             }
             Undo::EnableCron(sid) => {
                 self.cron_enabled.insert(sid, true);
-                self.close_human(inc, now, "enable-cron");
+                "enable-cron".to_string()
             }
             Undo::UnblockFirewall(seg, sid) => {
                 self.fabric.set_firewall_block(seg, sid, false);
-                self.close_human(inc, now, "unblock-firewall");
+                "unblock-firewall".to_string()
             }
             Undo::SegmentUp(seg) => {
                 self.fabric.set_segment_up(seg, true);
-                self.close_human(inc, now, "segment-up");
+                "segment-up".to_string()
             }
             Undo::RepairComponent(sid, class) => {
                 if let Some(server) = self.servers.get_mut(&sid) {
@@ -2260,41 +2045,25 @@ impl World {
                         server.set_component_health(class, i, ComponentHealth::Healthy);
                     }
                 }
-                self.close_human(inc, now, "replace-component");
+                "replace-component".to_string()
             }
             Undo::ServerRepair(sid) => {
                 // Engineer replaced the part; machine reboots now.
                 let until = {
                     let server = self.servers.get_mut(&sid).expect("server exists");
-                    let n_boards = server.components(HardwareComponent::Board).len();
-                    for i in 0..n_boards {
-                        server.set_component_health(
-                            HardwareComponent::Board,
-                            i,
-                            ComponentHealth::Healthy,
-                        );
-                    }
-                    let n_psu = server.components(HardwareComponent::PowerSupply).len();
-                    for i in 0..n_psu {
-                        server.set_component_health(
-                            HardwareComponent::PowerSupply,
-                            i,
-                            ComponentHealth::Healthy,
-                        );
+                    for class in [HardwareComponent::Board, HardwareComponent::PowerSupply] {
+                        for i in 0..server.components(class).len() {
+                            server.set_component_health(class, i, ComponentHealth::Healthy);
+                        }
                     }
                     server.begin_reboot(now)
                 };
+                // The incident closes when the reboot is done.
                 self.queue.schedule(until, WorldEvent::RebootDone(sid));
-                // Incident closes at RebootDone; track it.
-                self.open_faults.push(OpenFault {
-                    incident: inc,
-                    mechanism: of.mechanism,
-                    server: Some(sid),
-                    undo: Undo::ServerRepair(sid),
-                });
                 return;
             }
-        }
+        };
+        self.close_incidents(&[(idx, &action)], Actor::Human, now);
         self.try_dispatch(now);
     }
 
@@ -2307,21 +2076,9 @@ impl World {
         if !became_running {
             return;
         }
-        if let Some((inc, auto)) = self.open_by_service.remove(&svc) {
-            if auto {
-                self.ledger
-                    .restore(inc, now, Actor::Agent, "restart-service");
-                self.trace
-                    .emit_corr(now, Subsystem::Agent, "restore", Some(inc.0), || {
-                        format!("inc={inc} action=restart-service")
-                    });
-                self.slo_observe(inc, now);
-            } else {
-                self.close_human(inc, now, "restart-service");
-            }
-            if let Some(idx) = self.open_faults.iter().position(|of| of.incident == inc) {
-                self.open_faults.remove(idx);
-            }
+        if let Some(idx) = self.restart_incident(svc) {
+            let actor = self.open_faults[idx].restarting.unwrap_or(Actor::Human);
+            self.close_incidents(&[(idx, "restart-service")], actor, now);
         }
         self.sync_lsf_master();
         self.try_dispatch(now);
@@ -2342,8 +2099,7 @@ impl World {
             .iter()
             .position(|of| of.undo == Undo::ServerRepair(sid))
         {
-            let of = self.open_faults.remove(idx);
-            self.close_human(of.incident, now, "replace-hardware+reboot");
+            self.close_incidents(&[(idx, "replace-hardware+reboot")], Actor::Human, now);
         }
         // Bring the machine's services back.
         let ids = self.registry.ids_on_server(sid);
@@ -2567,5 +2323,133 @@ mod tests {
             "open = {}",
             report.open_incidents
         );
+    }
+
+    /// A fault of `mechanism` as the tape would carry it.
+    fn fault(mechanism: FaultMechanism, at: SimTime) -> FaultEvent {
+        FaultEvent {
+            at,
+            mechanism,
+            target: mechanism.target_class(),
+            complexity: Complexity::Simple,
+            latent: false,
+        }
+    }
+
+    /// Every mechanism, with a software-recoverable part (CPU) and a
+    /// fatal one (board) for the hardware mechanisms.
+    fn every_mechanism() -> Vec<FaultMechanism> {
+        use FaultMechanism::*;
+        let mut all = vec![
+            RunawayProcess,
+            MemoryLeak,
+            DiskFill,
+            ObscureSlowdown,
+            DaemonKilled,
+            ConfigCorrupted,
+            CrontabDisabled,
+            NtpBroken,
+            FrontEndHang,
+            FrontEndCrash,
+            LsfMasterCrash,
+            LsfQueueStuck,
+            FirewallMisrule,
+            SegmentOutage,
+            ServiceCorruption,
+            ServiceBug,
+        ];
+        for class in [HardwareComponent::Cpu, HardwareComponent::Board] {
+            all.extend([ComponentDegrade(class), ComponentFail(class)]);
+        }
+        all
+    }
+
+    /// Manual operations, then full, detect-only and blind agents.
+    fn every_power() -> Vec<ScenarioConfig> {
+        let mut detect_only = ScenarioConfig::small(5, ManagementMode::Intelliagents);
+        detect_only.agent_parts.healing = false;
+        let mut blind = ScenarioConfig::small(5, ManagementMode::Intelliagents);
+        blind.agent_parts.diagnosing = false;
+        vec![
+            ScenarioConfig::small(5, ManagementMode::ManualOps),
+            ScenarioConfig::small(5, ManagementMode::Intelliagents),
+            detect_only,
+            blind,
+        ]
+    }
+
+    #[test]
+    fn admin_sweep_closes_every_cron_incident_of_a_host() {
+        // Two crontab faults on one host before an admin sweep: the
+        // sweep that re-enables the crontab repairs both.
+        for cfg in &every_power()[1..] {
+            let mut w = World::build(cfg.clone());
+            let at = SimTime::from_secs(6 * 3600 + 1);
+            w.run_until(at);
+            let host = w.db_hosts[0];
+            for _ in 0..2 {
+                w.apply_fault(fault(FaultMechanism::CrontabDisabled, at), Some(host), at);
+            }
+            w.run_until(at + w.cfg.admin_period);
+            let cron: Vec<&crate::downtime::Incident> = w
+                .ledger
+                .incidents()
+                .filter(|i| i.description == format!("agent crontab disabled on {host}"))
+                .collect();
+            assert_eq!(cron.len(), 2);
+            for inc in cron {
+                assert_eq!(inc.repaired_by(), Some(Actor::Admin), "{}", inc.id);
+            }
+            assert!(w.open_faults.iter().all(|of| of.server != Some(host)));
+        }
+    }
+
+    #[test]
+    fn hostile_same_tick_tape_settles() {
+        // Three rounds of every mechanism at one agent-sweep tick, each
+        // followed by every mechanism on one chosen host (so its crontab
+        // is disabled again and again with faults already open), all
+        // before that tick's sweeps run.
+        let tick = SimTime::from_secs(6 * 3600);
+        for mut cfg in every_power() {
+            cfg.horizon = SimDuration::from_days(1);
+            let (mode, parts) = (cfg.mode, cfg.agent_parts);
+            let mut w = World::build(cfg);
+            w.run_until(SimTime::from_secs(6 * 3600 - 1));
+            let before = w.ledger.incidents().count();
+            let host = w.db_hosts[0];
+            for _ in 0..3 {
+                for &m in &every_mechanism() {
+                    w.on_fault(fault(m, tick), tick);
+                }
+                for &m in &every_mechanism() {
+                    w.apply_fault(fault(m, tick), Some(host), tick);
+                }
+            }
+            let opened = w.ledger.incidents().count() - before;
+            assert!(opened >= every_mechanism().len(), "only {opened} opened");
+            let end = tick + SimDuration::from_days(7);
+            w.run_until(end);
+
+            let ctx = format!("mode={mode:?} parts={parts:?}");
+            let violations = w.ledger.lifecycle_violations();
+            assert!(violations.is_empty(), "{ctx}: {violations:?}");
+            let open: Vec<_> = w.ledger.open_incidents().iter().map(|i| i.id).collect();
+            assert!(open.is_empty(), "{ctx}: still open {open:?}");
+            assert!(w.open_faults.is_empty(), "{ctx}: {:?}", w.open_faults);
+            let slo = w.slo.report(end - SimTime::ZERO);
+            for row in &slo.services {
+                let col = |scope: crate::slo::SloScope| {
+                    let r = row.scope_row(scope).expect("every scope has a row");
+                    (r.incidents, r.downtime_secs, r.repair_secs)
+                };
+                use crate::slo::SloScope::{Abort, All, Client, Service};
+                let parts = [col(Service), col(Client), col(Abort)];
+                let sum = parts
+                    .iter()
+                    .fold((0, 0, 0), |a, p| (a.0 + p.0, a.1 + p.1, a.2 + p.2));
+                assert_eq!(col(All), sum, "{ctx}: {} columns do not close", row.service);
+            }
+        }
     }
 }

@@ -14,11 +14,8 @@
 //! * [`SimRng`] — named, splittable random streams so that the fault
 //!   sequence of a scenario is invariant under enabling/disabling the
 //!   agent layer (paired before/after experiments).
-//! * [`OnlineStats`] / [`Histogram`] — O(1)-memory measurement folding.
 //! * [`CircularQueue`] — the paper's configurable-length circular
 //!   measurement files.
-//! * [`TimeSeries`] — timestamp-ordered measurements with the
-//!   timestamp-join the performance intelliagents perform.
 //! * [`Trace`] — zero-cost-when-disabled structured event log with
 //!   circular retention and per-subsystem lifetime counters.
 //! * [`MetricsRegistry`] / [`Profiler`] — counters, gauges,
@@ -35,8 +32,6 @@ pub mod lifecycle;
 pub mod metrics;
 mod ring;
 mod rng;
-mod series;
-mod stats;
 pub mod time;
 pub mod trace;
 
@@ -45,8 +40,6 @@ pub use lifecycle::{LifecycleState, LIFECYCLE_EDGES};
 pub use metrics::{HistSummary, LogHistogram, MetricsRegistry, Profiler, SpanTimer};
 pub use ring::CircularQueue;
 pub use rng::SimRng;
-pub use series::TimeSeries;
-pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE, WEEK, YEAR};
 pub use trace::{
     CategorySpec, RingSink, SpillConfig, SpillSink, Subsystem, Trace, TraceEvent, TraceOptions,

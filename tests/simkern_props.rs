@@ -5,9 +5,7 @@ mod common;
 
 use common::cases;
 
-use intelliqos::simkern::{
-    CircularQueue, EventQueue, OnlineStats, SimDuration, SimTime, TimeSeries,
-};
+use intelliqos::simkern::{CircularQueue, EventQueue, SimDuration, SimTime};
 
 /// Events always pop in (time, insertion-order) order regardless of
 /// the schedule order.
@@ -144,75 +142,6 @@ fn circular_queue_retains_suffix() {
             .collect();
         assert_eq!(q.iter().copied().collect::<Vec<_>>(), expected);
         assert_eq!(q.evicted_count() as usize, items.len().saturating_sub(cap));
-    });
-}
-
-/// Merging partitioned statistics equals the whole (associativity of
-/// the Welford merge).
-#[test]
-fn stats_merge_is_partition_invariant() {
-    cases(64, |g| {
-        let xs: Vec<f64> = (0..g.usize_in(1, 300))
-            .map(|_| g.f64_in(-1e6, 1e6))
-            .collect();
-        let split = g.usize_in(0, 300).min(xs.len());
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        xs[..split].iter().for_each(|&x| a.push(x));
-        xs[split..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        assert!((a.variance() - whole.variance()).abs() <= 1e-4 * (1.0 + whole.variance()));
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    });
-}
-
-/// Step interpolation returns the latest value at-or-before t.
-#[test]
-fn timeseries_value_at_is_latest_before() {
-    cases(64, |g| {
-        let mut times = g.vec_u64(1..100, 10_000);
-        let probe = g.u64_in(0, 12_000);
-        times.sort_unstable();
-        let mut ts = TimeSeries::new();
-        for (i, &t) in times.iter().enumerate() {
-            ts.push(SimTime::from_secs(t), i as f64);
-        }
-        let got = ts.value_at(SimTime::from_secs(probe));
-        // Reference implementation.
-        let expected = times
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t <= probe)
-            .map(|(i, _)| i as f64)
-            .next_back();
-        assert_eq!(got, expected);
-    });
-}
-
-/// Window statistics cover exactly the pushed samples; sub-windows hold
-/// subsets with in-window extrema.
-#[test]
-fn timeseries_window_stats_bounds() {
-    cases(64, |g| {
-        let mut sorted = g.vec_u64(1..100, 1000);
-        sorted.sort_unstable();
-        let mut ts = TimeSeries::new();
-        for &t in &sorted {
-            ts.push(SimTime::from_secs(t), t as f64);
-        }
-        let all = ts.window_stats(SimTime::ZERO, SimTime::from_secs(1001));
-        assert_eq!(all.count() as usize, sorted.len());
-        // Any sub-window holds a subset.
-        let sub = ts.window_stats(SimTime::from_secs(250), SimTime::from_secs(750));
-        assert!(sub.count() <= all.count());
-        if let (Some(lo), Some(hi)) = (sub.min(), sub.max()) {
-            assert!(lo >= 250.0 && hi < 750.0);
-        }
     });
 }
 
